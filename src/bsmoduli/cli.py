@@ -21,8 +21,9 @@ Commands:
 
 Exit codes: 0 pass, 1 usage error, 2 config error, 3 numeric failure.
 The environment variable BSQ_THREADS caps the number of worker threads used
-for independent instances (default 1); outputs are written in instance
-order, so results are byte-identical for a given config and seed.
+for independent instances (default 1; a value that is not a positive integer
+is a config error); outputs are written in instance order, so results are
+byte-identical for a given config and seed.
 
 Scalar fields in configs are expression strings over the grammar:
 identifiers ``x``, ``y``; numeric literals and ``pi``; operators
@@ -103,9 +104,12 @@ class _Parser(argparse.ArgumentParser):
 def max_workers():
     raw = os.environ.get("BSQ_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"BSQ_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _format(value):
@@ -114,24 +118,28 @@ def _format(value):
     return str(value)
 
 
+def _write_atomic(path, text):
+    """Write text to path through a temp file in the same directory and os.replace."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path, columns, rows, header):
     """Write a CSV with a '#'-comment convention block, atomically."""
     lines = [f"# {key} = {_format(val)}" for key, val in header.items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format(row[c]) for c in columns))
-    payload = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _conventions(command, seed, tolerance):
@@ -235,6 +243,7 @@ def density_label(spec, index):
 
 
 def cmd_bracket_check(config, out_dir, seed, tolerance):
+    workers = max_workers()
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-6)
     counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 512)])]
     surface = build_surface(config.get("surface"))
@@ -286,7 +295,7 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
             )
         return out, singular
 
-    workers = min(max_workers(), max(1, len(instances)))
+    workers = min(workers, max(1, len(instances)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_instance, instances))
@@ -424,10 +433,10 @@ def cmd_flow(config, out_dir, seed, tolerance):
             snaps = [
                 {"t": float(t), "state": point.to_dict()} for t, point in traj.snapshots
             ]
-            path = os.path.join(out_dir, "flow_moduli_snapshots.json")
-            payload = json.dumps(snaps, indent=1, sort_keys=True)
-            with open(path, "w", newline="\n") as fh:
-                fh.write(payload + "\n")
+            _write_atomic(
+                os.path.join(out_dir, "flow_moduli_snapshots.json"),
+                json.dumps(snaps, indent=1, sort_keys=True) + "\n",
+            )
         return EXIT_OK
     raise ConfigError(f"unknown flow mode {mode!r}")
 
@@ -612,16 +621,10 @@ def main(argv=None):
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         runner = COMMANDS[args.command]
         return runner(config, args.out, seed, args.tol)
-    except ConfigError as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"bsq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"bsq: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GeometryError as exc:
-        print(f"bsq: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as exc:
+    except (GeometryError, FloatingPointError) as exc:
         print(f"bsq: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

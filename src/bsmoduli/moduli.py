@@ -227,7 +227,7 @@ class OmegaMatrix:
         self.f_basis = _complement_basis(th**2, fourier)
         self.t_basis = _complement_basis(th, fourier)
         self.k_block = (self.f_basis.T * th) @ self.t_basis / n
-        s = np.linalg.svd(self.k_block, compute_uv=False)
+        s = self._k_singular = np.linalg.svd(self.k_block, compute_uv=False)
         self.min_singular = float(s[-1]) if s.size else 0.0
         self.max_singular = float(s[0]) if s.size else 0.0
         self.n = n
@@ -242,8 +242,8 @@ class OmegaMatrix:
         return out
 
     def singular_values(self):
-        s = np.linalg.svd(self.k_block, compute_uv=False)
-        return np.concatenate([s, s])
+        """Singular values of the assembled matrix: those of K, each twice."""
+        return np.concatenate([self._k_singular, self._k_singular])
 
     def coordinates(self, v):
         """Basis coefficients (xf, xt) of a constrained tangent vector."""

@@ -17,7 +17,6 @@ conventions above) and frozen.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 KAPPA_QM = 1.0
 
@@ -187,6 +186,7 @@ def schrodinger_flow_rk4(op, psi, t_final, h):
 
 
 def exact_flow(op, psi, t_final):
-    """Matrix-exponential propagation exp(-i F t / hbar) Psi."""
-    prop = scipy.linalg.expm(-1j * t_final / psi.hbar * op.matrix)
-    return StateVector(prop @ psi.amplitudes, hbar=psi.hbar)
+    """Exact propagation exp(-i F t / hbar) Psi in the eigenbasis F = V diag(lam) V^H."""
+    lam, vecs = np.linalg.eigh(op.matrix)
+    phases = np.exp(-1j * t_final / psi.hbar * lam)
+    return StateVector(vecs @ (phases * (vecs.conj().T @ psi.amplitudes)), hbar=psi.hbar)

@@ -73,10 +73,6 @@ class ScalarField:
             ast=("const", value),
         )
 
-    @classmethod
-    def from_callable(cls, fn, grad_fn=None, h_fd=1e-4):
-        return cls(fn=fn, grad_fn=grad_fn, h_fd=h_fd)
-
     def _combine(self, other, tag, fn):
         if not isinstance(other, ScalarField):
             other = ScalarField.constant(other)
@@ -114,12 +110,11 @@ class ScalarField:
     def __pow__(self, k):
         if int(k) != k:
             raise ExpressionError("field powers must have integer exponents")
-        k = int(k)
-        out = ScalarField.constant(1.0)
-        for _ in range(abs(k)):
-            out = out * self
         if k < 0:
             raise ExpressionError("negative field powers are not supported")
+        out = ScalarField.constant(1.0)
+        for _ in range(int(k)):
+            out = out * self
         return out
 
 
@@ -312,12 +307,12 @@ def poisson_bracket_field(f, g, surface):
     return ScalarField(fn=fn)
 
 
-def tangential_normal_split(v, t, p=None):
+def tangential_normal_split(v, t):
     """Split v into its metric projection onto span(t) and the complement.
 
     The metric is conformal to the Euclidean one, so the projection weight
-    cancels and p is accepted only for interface symmetry.  Broadcasts over
-    leading axes; raises DegenerateLoop when a tangent collapses.
+    cancels.  Broadcasts over leading axes; raises DegenerateLoop when a
+    tangent collapses.
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)

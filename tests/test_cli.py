@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsmoduli.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from bsmoduli import ModuliPoint, omega_matrix
+from bsmoduli.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_density,
+    build_loop,
+    main,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -76,6 +85,14 @@ class TestExitCodes:
         }
         assert run("bracket-check", cfg, tmp_path) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("BSQ_THREADS", value)
+        cfg = {"pairs": [["x", "y"]], "loops": [{"type": "circle", "radius": 0.5}], "n_samples": 32}
+        assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
+        assert repr(value) in capsys.readouterr().err
+        assert not (tmp_path / "bracket_check.csv").exists()
+
     def test_numeric_failure_from_geometry(self, tmp_path):
         cfg = {
             "mode": "classical",
@@ -139,6 +156,27 @@ class TestReports:
         snaps = json.loads((tmp_path / "flow_moduli_snapshots.json").read_text())
         assert len(snaps) == 3
         assert "points" in snaps[0]["state"] and "theta" in snaps[0]["state"]
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_bracket_check_singular_value_dump(self, tmp_path, plane):
+        n = 32
+        loop_spec = {"id": "c", "type": "circle", "radius": 0.5641895835477563, "center": [0.3, -0.2]}
+        densities = [{"id": "u", "type": "uniform"}, {"id": "cos", "type": "cosine"}]
+        cfg = {
+            "n_samples": n,
+            "pairs": [["x", "y"]],
+            "loops": [loop_spec],
+            "densities": densities,
+            "dump_singular_values": True,
+        }
+        assert run("bracket-check", cfg, tmp_path) == EXIT_OK
+        rows = read_rows(tmp_path / "omega_singular_values.csv")
+        loop = build_loop(loop_spec, n, plane)
+        for dspec in densities:
+            sigma = [float(r["sigma_k"]) for r in rows if r["density"] == dspec["id"]]
+            assert len(sigma) == 2 * (n - 1)
+            point = ModuliPoint(plane, loop, build_density(dspec, n))
+            assert min(sigma) == omega_matrix(point).min_singular
 
     def test_classical_flow_report(self, tmp_path):
         assert run("flow", CONFIG_DIR / "flow_classical.json", tmp_path) == EXIT_OK

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bsmoduli import (
     KAPPA_QM,
@@ -89,6 +95,17 @@ class TestSchrodingerField:
         approx = schrodinger_flow_rk4(op, psi, 1.0, 1e-3)
         exact = exact_flow(op, psi, 1.0)
         assert np.max(np.abs(approx.amplitudes - exact.amplitudes)) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    @pytest.mark.parametrize("hbar", [1.0, 0.3])
+    def test_exact_flow_matches_expm_oracle(self, rng, n, hbar):
+        op = random_hermitian(rng, n)
+        psi = random_state(rng, n, hbar=hbar)
+        for t in (0.1, 1.0, 2.7):
+            oracle = scipy.linalg.expm(-1j * t / hbar * op.matrix) @ psi.amplitudes
+            exact = exact_flow(op, psi, t)
+            assert np.max(np.abs(exact.amplitudes - oracle)) <= 1e-13
+            assert exact.hbar == hbar
 
     def test_norm_conservation(self, rng):
         op = random_hermitian(rng, 4)
@@ -243,3 +260,13 @@ class TestValidation:
     def test_bad_hbar_rejected(self):
         with pytest.raises(ValueError):
             StateVector([1.0, 0.0], hbar=0.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import bsmoduli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

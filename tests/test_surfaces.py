@@ -4,6 +4,7 @@ import pytest
 from bsmoduli import (
     CompatibleStructure,
     DegenerateLoop,
+    ExpressionError,
     ScalarField,
     SymplecticSurface,
     field_is_periodic,
@@ -296,6 +297,15 @@ class TestScalarField:
         assert gy == pytest.approx(x * y + (x + y) * x, rel=1e-12)
         cube = f**3
         assert cube(x, y) == pytest.approx((x + y) ** 3, rel=1e-13)
+
+    def test_power_exponent_checks(self):
+        with pytest.raises(ExpressionError):
+            expr("x") ** -3
+        with pytest.raises(ExpressionError):
+            expr("x") ** 1.5
+        one = expr("x") ** 0
+        assert one(0.7, -2.0) == 1.0
+        assert one.grad(0.7, -2.0) == (0.0, 0.0)
 
 
 def test_poisson_bracket_field_symbolic_composition(plane):

@@ -46,7 +46,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -119,10 +119,15 @@ def _format(value):
 
 
 def _write_atomic(path, text):
-    """Write text to path through a temp file in the same directory and os.replace."""
+    """Write text to path through a temp file in the same directory and os.replace.
+
+    The temp file is created with mode 0o666 so the kernel applies the umask,
+    giving the same permissions as a plain ``open(path, "w")``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -4,21 +4,33 @@ Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric); moduli trajectories use classical RK4 on the pair
 (loop points, weight values), with the stage velocity given by the
 Hamiltonian field of the induced observable realized as a normal
-displacement field.  After every full RK4 step the weight is renormalized
-to unit volume and the loop re-projected onto its integer level; both
-corrections track the integrator's own local error and are logged.
+displacement field.  Each requested step is split into equal RK4 substeps
+short enough for the flow's advection speed (``RK4_STABLE_Z``).  After every
+requested step the weight is renormalized to unit volume and the loop
+re-projected onto its integer level; both corrections track the
+integrator's own local error and are logged.
 """
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NewtonDivergence
+from .errors import GeometryError, NewtonDivergence
 from .loops import HalfDensity, Loop, bs_defect, project_to_bs
-from .moduli import ModuliPoint, _normal_displacement, omega_matrix
-from .observables import evaluate_F, hamiltonian_field_H
+from .moduli import ModuliPoint, _normal_displacement
+from .observables import (
+    _field_and_scale,
+    evaluate_F,
+    hamiltonian_field_H,
+    tangential_hamiltonian_coefficient,
+)
 from .surfaces import hamiltonian_vector_field as classical_field
+
+# RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2); substeps keep the
+# fastest advected Fourier mode below this margin.
+RK4_STABLE_Z = 2.0
 
 
 @dataclass
@@ -93,6 +105,7 @@ class ModuliTrajectory:
     volume_defects: np.ndarray
     bs_defects: np.ndarray
     checksums: list
+    substeps: np.ndarray
     snapshots: list = field(default_factory=list)
 
     def final(self):
@@ -108,16 +121,50 @@ def _moduli_velocity(f, surface, points, theta_values, winding):
     loop = Loop(points, winding=winding)
     theta = HalfDensity(theta_values)
     p = ModuliPoint(surface, loop, theta, strict=False)
-    h_field = hamiltonian_field_H(f, p, om=omega_matrix(p))
+    h_field = hamiltonian_field_H(f, p)
     return _normal_displacement(p, h_field.fvec), h_field.tvec
+
+
+def _substep_count(f, point, h):
+    """RK4 substeps that keep |h/m| * (fastest advected mode) within RK4_STABLE_Z.
+
+    The normal-displacement flow advects the loop at speed 2 u_f, so Fourier
+    mode k has eigenvalue i 2 pi k 2 u_f; the fastest resolved mode is
+    k = N/2 - 1 (the Nyquist mode has zero spectral derivative).
+    """
+    field, tau = _field_and_scale(f)
+    u = tau * tangential_hamiltonian_coefficient(field, point)
+    z = abs(h) * 2.0 * np.pi * (point.n // 2 - 1) * 2.0 * float(np.max(np.abs(u)))
+    return max(1, math.ceil(z / RK4_STABLE_Z))
+
+
+def _all_finite(*arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def _rk4_step(f, surface, pts, th, winding, h):
+    """One classical RK4 step of the moduli flow; None once a stage state is not finite."""
+    kp, kt = np.zeros_like(pts), np.zeros_like(th)
+    sum_p, sum_t = kp.copy(), kt.copy()
+    for c, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage_p, stage_t = pts + c * h * kp, th + c * h * kt
+        if not _all_finite(stage_p, stage_t):
+            return None
+        kp, kt = _moduli_velocity(f, surface, stage_p, stage_t, winding)
+        sum_p += weight * kp
+        sum_t += weight * kt
+    return pts + (h / 6.0) * sum_p, th + (h / 6.0) * sum_t
 
 
 def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     """RK4 flow of the induced observable F_f on the moduli space.
 
-    Records per step: time, F_f, pre-renormalization volume defect,
-    pre-projection level defect, and a CRC32 state checksum.  Snapshots of
-    the full state are kept every ``snapshot_every`` steps when positive.
+    Each requested step of length h runs as ``substeps[i]`` equal RK4
+    substeps (see ``_substep_count``).  Records per step: time, F_f,
+    pre-renormalization volume defect, pre-projection level defect, and a
+    CRC32 state checksum.  Snapshots of the full state are kept every
+    ``snapshot_every`` steps when positive.  A state that stops being finite
+    raises GeometryError naming the step and time.
     """
     surface = p0.surface
     steps = int(round(t_final / h))
@@ -129,6 +176,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     f_vals = np.empty(steps + 1)
     vol_defects = np.zeros(steps + 1)
     level_defects = np.zeros(steps + 1)
+    substeps = np.zeros(steps, dtype=int)
     checksums = []
     snapshots = []
 
@@ -139,12 +187,16 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
         snapshots.append((0.0, current))
 
     for i in range(steps):
-        k1p, k1t = _moduli_velocity(f, surface, pts, th, winding)
-        k2p, k2t = _moduli_velocity(f, surface, pts + 0.5 * h * k1p, th + 0.5 * h * k1t, winding)
-        k3p, k3t = _moduli_velocity(f, surface, pts + 0.5 * h * k2p, th + 0.5 * h * k2t, winding)
-        k4p, k4t = _moduli_velocity(f, surface, pts + h * k3p, th + h * k3t, winding)
-        pts = pts + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        th = th + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+        m = substeps[i] = _substep_count(f, current, h)
+        for _ in range(m):
+            with np.errstate(all="ignore"):
+                state = _rk4_step(f, surface, pts, th, winding, h / m)
+            if state is None or not _all_finite(*state):
+                raise GeometryError(
+                    f"moduli flow diverged in step {i + 1} of {steps} "
+                    f"(t = {float(times[i + 1])!r}, {m} RK4 substeps): state is not finite"
+                )
+            pts, th = state
 
         raw_theta = HalfDensity(th)
         vol_defects[i + 1] = abs(raw_theta.volume() - 1.0)
@@ -166,5 +218,6 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
         volume_defects=vol_defects,
         bs_defects=level_defects,
         checksums=checksums,
+        substeps=substeps,
         snapshots=snapshots,
     )

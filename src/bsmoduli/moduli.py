@@ -272,9 +272,24 @@ def omega_matrix(p):
 def sharp(p, ell, om=None):
     """The constrained tangent v with omega(p, v, .) = ell(.).
 
-    Solves the skew block system; raises SingularPairing when the pairing is
-    numerically degenerate (theta0 with near-zeros on the grid).
+    Without ``om``, a ``Covector`` is dualized pointwise in O(N): since
+    flat(v) = (-t1 theta0, f1 theta0) and covector weights matter only up to
+    multiples of theta0^2 (function part) and theta0 (density part), v is the
+    constrained projection of (tweight/theta0, -fweight/theta0).
+
+    With ``om`` given, or for a callable ``ell``, the skew block system of the
+    pairing matrix is solved densely; that route is the independent oracle.
+    Raises SingularPairing when the pairing is numerically degenerate
+    (theta0 with near-zeros on the grid).
     """
+    if om is None and isinstance(ell, Covector):
+        th = p.theta.values
+        floor = float(np.min(np.abs(th)))
+        if floor < SINGULAR_FLOOR:
+            raise SingularPairing(
+                f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}"
+            )
+        return project_tangent(ell.tweight / th, -ell.fweight / th, p)
     if om is None:
         om = omega_matrix(p)
     if om.min_singular < SINGULAR_FLOOR:

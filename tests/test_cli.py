@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,23 @@ class TestExitCodes:
         }
         assert run("flow", cfg, tmp_path) == EXIT_NUMERIC
 
+    def test_diverging_moduli_flow_is_numeric_exit(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
+        cfg.update(field="x^4+y^4", step=0.5, t_final=20.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "bsmoduli.cli", "flow", "--config", str(path),
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == EXIT_NUMERIC
+        assert "numeric failure" in out.stderr and "step 1 of 40" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert not (tmp_path / "flow_moduli.csv").exists()
+
 
 class TestReports:
     def test_bracket_check_default_config_passes(self, tmp_path):
@@ -157,6 +176,17 @@ class TestReports:
         assert len(snaps) == 3
         assert "points" in snaps[0]["state"] and "theta" in snaps[0]["state"]
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_outputs_get_umask_mode(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
+        cfg.update(n_samples=32, t_final=0.01, step=0.01, snapshot_every=1)
+        old = os.umask(0o027)
+        try:
+            assert run("flow", cfg, tmp_path) == EXIT_OK
+        finally:
+            os.umask(old)
+        for name in ("flow_moduli.csv", "flow_moduli_snapshots.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
     def test_bracket_check_singular_value_dump(self, tmp_path, plane):
         n = 32

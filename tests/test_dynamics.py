@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,10 @@ from bsmoduli import (
     hamiltonian_field_H,
     project_to_bs,
 )
+from bsmoduli.cli import build_density, build_field, build_loop
 from conftest import expr, observed_orders
+
+FLOW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "flow_moduli.json"
 
 
 class TestClassicalFlow:
@@ -155,3 +161,37 @@ class TestModuliFlow:
         final = stationary.snapshots[-1][1]
         assert np.max(np.abs(final.loop.points - p0.loop.points)) < 1e-13
         assert np.max(np.abs(final.theta.values - p0.theta.values)) < 1e-13
+
+
+def shipped_flow(plane, n):
+    cfg = json.loads(FLOW_CONFIG.read_text())
+    p0 = ModuliPoint(plane, build_loop(cfg["loop"], n, plane), build_density(cfg["density"], n))
+    return flow_moduli(build_field(cfg["field"]), p0, cfg["t_final"], cfg["step"])
+
+
+class TestModuliSubsteps:
+    def test_shipped_config_takes_single_substeps(self, plane):
+        cfg = json.loads(FLOW_CONFIG.read_text())
+        traj = shipped_flow(plane, cfg["n_samples"])
+        assert len(traj.substeps) == round(cfg["t_final"] / cfg["step"])
+        assert np.all(traj.substeps == 1)
+
+    def test_shipped_config_conserves_at_n256(self, plane):
+        traj = shipped_flow(plane, 256)
+        assert np.all(traj.substeps >= 2)
+        assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-9
+
+    def test_stiff_input_substeps_and_conserves(self, plane):
+        # a single RK4 step of h = 0.005 per requested step drifts F_f by 2.1e-6 here
+        n = 128
+        loop = Loop.ellipse(
+            1.280550413318997, 0.799935177889642,
+            center=(-0.08702287528761127, 0.2770385087338102), n=n, angle=1.8484015630990493,
+        )
+        p0 = ModuliPoint(
+            plane, project_to_bs(loop, plane), HalfDensity.cosine_profile(n, 0.4250009724414533, 3)
+        )
+        traj = flow_moduli(expr("0.6303*x^2+1.4408*y^2"), p0, 0.1, 0.005)
+        assert len(traj.substeps) == 20
+        assert np.all(traj.substeps >= 2)
+        assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-6

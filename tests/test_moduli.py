@@ -10,17 +10,20 @@ from bsmoduli import (
     Loop,
     ModuliPoint,
     SingularPairing,
+    SymplecticSurface,
     TangentVector,
     dOmega_check,
+    differential_covector,
     flat,
     integrate_density,
     omega,
     omega_matrix,
     project_tangent,
+    project_to_bs,
     realize_tangent,
     sharp,
 )
-from conftest import observed_orders, random_tangent, smooth_tangent
+from conftest import expr, observed_orders, random_tangent, smooth_tangent
 
 
 def division_sharp_oracle(p, ell):
@@ -239,6 +242,36 @@ class TestSharp:
         v1 = sharp(p, weights, om=om)
         v2 = sharp(p, lambda u: weights(u), om=om)
         assert np.max(np.abs(v1.fvec - v2.fvec)) < 1e-11
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_pointwise_matches_dense(self, n):
+        plane = SymplecticSurface.plane()
+        loop = project_to_bs(Loop.ellipse(1.3, 0.8, center=(0.2, -0.1), n=n), plane)
+        rng = np.random.default_rng(n)
+        densities = [
+            HalfDensity.uniform(n),
+            HalfDensity.cosine_profile(n, 0.3, 1),
+            HalfDensity.cosine_profile(n, 0.9, 3),
+        ]
+        for theta in densities:
+            p = ModuliPoint(plane, loop, theta)
+            om = omega_matrix(p)
+            covectors = [Covector(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3)]
+            covectors.append(differential_covector(expr("x*y+0.3*x^2"), p))
+            for ell in covectors:
+                got = sharp(p, ell)
+                want = sharp(p, ell, om=om)
+                scale = max(np.max(np.abs(want.fvec)), np.max(np.abs(want.tvec)))
+                err = max(np.max(np.abs(got.fvec - want.fvec)), np.max(np.abs(got.tvec - want.tvec)))
+                assert err <= 1e-12 * scale
+
+    def test_dense_route_singular_weight_raises(self, plane):
+        n = 64
+        s = np.arange(n) / n
+        theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
+        p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
+        with pytest.raises(SingularPairing):
+            sharp(p, Covector(np.ones(n), np.ones(n)), om=omega_matrix(p))
 
 
 class TestRealizeTangent:

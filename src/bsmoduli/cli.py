@@ -69,6 +69,7 @@ from .moduli import ModuliPoint, omega_matrix
 from .observables import (
     BRACKET_SIGN,
     bracket_report,
+    bracket_reports,
     compatibility_residuals,
     restriction_identity_residual,
 )
@@ -257,6 +258,15 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
     density_specs = config.get("densities", [{"type": "uniform"}])
     scale = float(config.get("scale", 1.0))
 
+    # Each distinct expression is built once, before any numerics.
+    fields = {}
+    field_pairs = []
+    for fs, gs in pairs:
+        for text in (fs, gs):
+            if not isinstance(text, str) or text not in fields:
+                fields[text] = build_field(text)
+        field_pairs.append((fields[fs], fields[gs]))
+
     instances = []
     for n in counts:
         for li, lspec in enumerate(loop_specs):
@@ -277,10 +287,7 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
                     {"loop": label_l, "density": label_d, "index": idx, "sigma_k": float(value)}
                 )
         out = []
-        for fs, gs in pairs:
-            f = build_field(fs)
-            g = build_field(gs)
-            rep = bracket_report(f, g, point, om=om)
+        for (fs, gs), rep in zip(pairs, bracket_reports(field_pairs, point, om=om)):
             for key in ("matrix", "closed_form", "target"):
                 rep[key] *= scale * scale
             out.append(

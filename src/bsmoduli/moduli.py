@@ -292,15 +292,27 @@ def sharp(p, ell, om=None):
         return project_tangent(ell.tweight / th, -ell.fweight / th, p)
     if om is None:
         om = omega_matrix(p)
+    lf, lt = om.covector_coefficients(ell)
+    xf, xt = dense_sharp(om, lf[:, None], lt[:, None])
+    return om.from_coordinates(xf[:, 0], xt[:, 0])
+
+
+def dense_sharp(om, lf, lt):
+    """Dense duals of k covectors at once, by one multi-RHS solve per block.
+
+    ``lf`` and ``lt`` are (N-1, k) stacks of covector values on the basis
+    columns (``OmegaMatrix.covector_coefficients``); returns the (N-1, k)
+    stacks (xf, xt) of basis coordinates of the duals.  Raises
+    SingularPairing when the pairing matrix is numerically degenerate.
+    """
     if om.min_singular < SINGULAR_FLOOR:
         raise SingularPairing(
             f"pairing min singular value {om.min_singular:.3e} below {SINGULAR_FLOOR:.1e}"
         )
-    lf, lt = om.covector_coefficients(ell)
     # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.
     xt = -np.linalg.solve(om.k_block, lf)
     xf = np.linalg.solve(om.k_block.T, lt)
-    return om.from_coordinates(xf, xt)
+    return xf, xt
 
 
 def _normal_displacement(p, fvec):

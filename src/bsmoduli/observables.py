@@ -28,7 +28,14 @@ in the common orientation fixed by this constant.
 import numpy as np
 
 from .loops import integrate_density, loop_derivative
-from .moduli import Covector, omega, omega_matrix, project_tangent, sharp
+from .moduli import (
+    Covector,
+    dense_sharp,
+    omega,
+    omega_matrix,
+    project_tangent,
+    sharp,
+)
 from .surfaces import (
     hamiltonian_vector_field,
     poisson_bracket,
@@ -138,6 +145,18 @@ def hamiltonian_field_H(f, p, om=None):
     return sharp(p, differential_covector(f, p), om=om)
 
 
+def hamiltonian_fields(fields, p, om=None):
+    """hamiltonian_field_H of every field, from one batched dense dual."""
+    if not fields:
+        return []
+    if om is None:
+        om = omega_matrix(p)
+    coefficients = [om.covector_coefficients(differential_covector(f, p)) for f in fields]
+    lf, lt = (np.stack(stack, axis=1) for stack in zip(*coefficients))
+    xf, xt = dense_sharp(om, lf, lt)
+    return [om.from_coordinates(xf[:, j], xt[:, j]) for j in range(len(fields))]
+
+
 def moduli_bracket(f, g, p, method="matrix", om=None):
     """Moduli-space bracket of two induced observables, three evaluation routes.
 
@@ -179,10 +198,9 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
     return BRACKET_SIGN * tau * 2.0 * evaluate_F(bracket_field, p)
 
 
-def bracket_report(f, g, p, om=None):
-    """All three bracket values plus their relative spread."""
+def _report(f, g, p, matrix_value):
     values = {
-        "matrix": moduli_bracket(f, g, p, "matrix", om=om),
+        "matrix": matrix_value,
         "closed_form": moduli_bracket(f, g, p, "closed_form"),
         "target": moduli_bracket(f, g, p, "target"),
     }
@@ -191,6 +209,27 @@ def bracket_report(f, g, p, om=None):
     spread = float(np.max(vals) - np.min(vals))
     values["rel_spread"] = spread / scale if scale > 1e-9 else spread
     return values
+
+
+def bracket_report(f, g, p, om=None):
+    """All three bracket values plus their relative spread."""
+    return _report(f, g, p, moduli_bracket(f, g, p, "matrix", om=om))
+
+
+def bracket_reports(pairs, p, om=None):
+    """bracket_report of every (f, g) pair at one point.
+
+    The matrix route takes every Hamiltonian field from one batched dual
+    (hamiltonian_fields), with each distinct field object dualized once; the
+    values agree with bracket_report's to solve roundoff.
+    """
+    split = [(_field_and_scale(f), _field_and_scale(g)) for f, g in pairs]
+    distinct = {id(h): h for (ff, _), (gg, _) in split for h in (ff, gg)}
+    fields = dict(zip(distinct, hamiltonian_fields(list(distinct.values()), p, om)))
+    return [
+        _report(f, g, p, tau_f * tau_g * omega(p, fields[id(ff)], fields[id(gg)]))
+        for (f, g), ((ff, tau_f), (gg, tau_g)) in zip(pairs, split)
+    ]
 
 
 def measure_bracket_sign(p, f=None, g=None):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsmoduli import ModuliPoint, omega_matrix
+from bsmoduli import ModuliPoint, cli, omega_matrix
 from bsmoduli.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -71,6 +71,22 @@ class TestExitCodes:
             "n_samples": 32,
         }
         assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
+
+    def test_bad_last_pair_fails_before_numerics(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.omega_matrix
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(cli, "omega_matrix", counted)
+        cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
+        cfg["n_samples"] = 32
+        cfg["pairs"].append(["x", "x+*y"])
+        assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "bracket_check.csv").exists()
+        assert calls == []
 
     def test_empty_task_lists_pass(self, tmp_path):
         assert run("bracket-check", {"pairs": [], "loops": [], "n_samples": 32}, tmp_path) == EXIT_OK
@@ -250,6 +266,25 @@ class TestDeterminism:
         assert (serial / "bracket_check.csv").read_bytes() == (
             threaded / "bracket_check.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("pair_count", [1, 5])
+    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):
+        counts = {"solve": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
+        cfg["n_samples"] = 64
+        cfg["pairs"] = cfg["pairs"][:pair_count]
+        assert run("bracket-check", cfg, tmp_path) == EXIT_OK
+        instances = len(cfg["loops"]) * len(cfg["densities"])
+        assert counts == {"solve": 2 * instances, "svd": instances}
 
     def test_seed_override_changes_qm_report(self, tmp_path):
         out1 = tmp_path / "s1"

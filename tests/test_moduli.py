@@ -23,6 +23,7 @@ from bsmoduli import (
     realize_tangent,
     sharp,
 )
+from bsmoduli.moduli import dense_sharp
 from conftest import expr, observed_orders, random_tangent, smooth_tangent
 
 
@@ -272,6 +273,22 @@ class TestSharp:
         p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
         with pytest.raises(SingularPairing):
             sharp(p, Covector(np.ones(n), np.ones(n)), om=omega_matrix(p))
+
+    def test_batch_of_one_matches_single_rhs_solve(self, ellipse_point, rng):
+        p = ellipse_point
+        om = omega_matrix(p)
+        for _ in range(3):
+            ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
+            lf, lt = om.covector_coefficients(ell)
+            xf, xt = dense_sharp(om, lf[:, None], lt[:, None])
+            got = om.from_coordinates(xf[:, 0], xt[:, 0])
+            single = om.from_coordinates(
+                np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
+            )
+            want = sharp(p, ell, om=om)
+            for v in (got, single):
+                assert np.array_equal(v.fvec, want.fvec)
+                assert np.array_equal(v.tvec, want.tvec)
 
 
 class TestRealizeTangent:

@@ -8,6 +8,7 @@ from bsmoduli import (
     InducedObservable,
     Loop,
     ModuliPoint,
+    SingularPairing,
     bracket_report,
     compatibility_residuals,
     differential_dF,
@@ -27,8 +28,15 @@ from bsmoduli import (
     realize_tangent,
     restriction_identity_residual,
 )
-from bsmoduli.loops import integrate_density, loop_derivative
-from bsmoduli.observables import restricted_values, tangential_hamiltonian_coefficient
+from bsmoduli import observables
+from bsmoduli.loops import integrate_density, loop_derivative, project_to_bs
+from bsmoduli.moduli import SINGULAR_FLOOR
+from bsmoduli.observables import (
+    bracket_reports,
+    hamiltonian_fields,
+    restricted_values,
+    tangential_hamiltonian_coefficient,
+)
 from conftest import expr, observed_orders, random_tangent, smooth_tangent
 
 
@@ -224,6 +232,74 @@ class TestHamiltonianField:
         for _ in range(20):
             v = random_tangent(p, rng)
             assert omega(p, h, v) == pytest.approx(differential_dF(f, p, v), abs=1e-11)
+
+
+# The seven distinct fields of the shipped bracket-check pairs.
+SHIPPED_FIELDS = ("x", "y", "x^2", "x^2+y^2", "sin(x)", "x*y", "x^2-y^2")
+
+
+class TestHamiltonianFields:
+    def test_batch_of_one_is_single_dual(self, ellipse_point):
+        p = ellipse_point
+        om = omega_matrix(p)
+        for text in SHIPPED_FIELDS:
+            (got,) = hamiltonian_fields([expr(text)], p, om)
+            want = hamiltonian_field_H(expr(text), p, om=om)
+            assert np.array_equal(got.fvec, want.fvec)
+            assert np.array_equal(got.tvec, want.tvec)
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_batch_matches_per_field_duals(self, plane, n):
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        fields = [expr(text) for text in SHIPPED_FIELDS]
+        for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1)):
+            p = ModuliPoint(plane, loop, theta)
+            om = omega_matrix(p)
+            for f, got in zip(fields, hamiltonian_fields(fields, p, om)):
+                want = hamiltonian_field_H(f, p, om=om)
+                scale = max(np.max(np.abs(want.fvec)), np.max(np.abs(want.tvec)))
+                err = max(np.max(np.abs(got.fvec - want.fvec)),
+                          np.max(np.abs(got.tvec - want.tvec)))
+                assert err <= 1e-13 * scale
+
+    def test_singular_pairing_raises(self, plane):
+        n = 64
+        s = np.arange(n) / n
+        theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
+        p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
+        om = omega_matrix(p)
+        assert om.min_singular < SINGULAR_FLOOR
+        with pytest.raises(SingularPairing):
+            hamiltonian_fields([expr("x"), expr("y")], p, om)
+
+
+class TestBracketReports:
+    def test_matches_single_pair_reports(self, ellipse_point, monkeypatch):
+        p = ellipse_point
+        om = omega_matrix(p)
+        x, y, r2 = expr("x"), expr("y"), expr("x^2+y^2")
+        scaled = InducedObservable(expr("x*y"), scale=1.7)
+        pairs = [(x, y), (x, r2), (scaled, y), (r2, scaled), (y, y)]
+        dualized = []
+        real = observables.differential_covector
+
+        def counted(f, q):
+            dualized.append(f)
+            return real(f, q)
+
+        monkeypatch.setattr(observables, "differential_covector", counted)
+        reports = bracket_reports(pairs, p, om)
+        monkeypatch.undo()
+        assert len(dualized) == 4
+        for (f, g), got in zip(pairs, reports):
+            want = bracket_report(f, g, p, om=om)
+            assert got["closed_form"] == want["closed_form"]
+            assert got["target"] == want["target"]
+            assert got["matrix"] == pytest.approx(want["matrix"], rel=1e-13, abs=1e-13)
+            assert got["rel_spread"] < 1e-10
+
+    def test_no_pairs(self, ellipse_point):
+        assert bracket_reports([], ellipse_point) == []
 
 
 class TestModuliBracket:

@@ -32,6 +32,13 @@ from .surfaces import hamiltonian_vector_field as classical_field
 # fastest advected Fourier mode below this margin.
 RK4_STABLE_Z = 2.0
 
+# Implicit-midpoint Newton: absolute residual tolerance, pass budget, and the
+# central-difference stencil (the midpoint, then +-eps along x and along y).
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 40
+_FD_EPS = 1e-7
+_STENCIL = np.array([[0.0, 0.0], [_FD_EPS, 0.0], [-_FD_EPS, 0.0], [0.0, _FD_EPS], [0.0, -_FD_EPS]])
+
 
 @dataclass
 class ClassicalTrajectory:
@@ -43,26 +50,23 @@ class ClassicalTrajectory:
         return self.points[-1]
 
 
-def _implicit_midpoint_step(f, surface, p, h, tol, max_iter):
-    """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with FD Jacobian."""
+def _implicit_midpoint_step(f, surface, p, h):
+    """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with a central-difference Jacobian.
+
+    Each pass makes one field call, on the midpoint and its four stencil
+    points; the last pass only tests the residual.
+    """
     p = np.asarray(p, dtype=float)
     p_new = p + h * classical_field(f, surface, p)
-    for _ in range(max_iter):
-        mid = 0.5 * (p + p_new)
-        res = p_new - p - h * classical_field(f, surface, mid)
-        if np.max(np.abs(res)) < tol:
+    for it in range(NEWTON_MAX_ITER + 1):
+        xs = classical_field(f, surface, 0.5 * (p + p_new) + _STENCIL)
+        res = p_new - p - h * xs[0]
+        err = np.max(np.abs(res))
+        if err < NEWTON_TOL:
             return p_new
-        eps = 1e-7
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dm = mid.copy()
-            dm[j] += eps
-            dp = mid.copy()
-            dp[j] -= eps
-            col = (classical_field(f, surface, dm) - classical_field(f, surface, dp)) / (2 * eps)
-            jac[:, j] = -0.5 * h * col
-        jac[0, 0] += 1.0
-        jac[1, 1] += 1.0
+        if it == NEWTON_MAX_ITER:
+            raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
+        jac = np.eye(2) - 0.5 * h * ((xs[1::2] - xs[2::2]).T / (2 * _FD_EPS))
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -70,30 +74,30 @@ def _implicit_midpoint_step(f, surface, p, h, tol, max_iter):
         if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e6:
             raise NewtonDivergence("implicit midpoint Newton step diverged")
         p_new = p_new + delta
-    mid = 0.5 * (p + p_new)
-    res = p_new - p - h * classical_field(f, surface, mid)
-    if np.max(np.abs(res)) >= tol:
-        raise NewtonDivergence(
-            f"implicit midpoint failed to converge: residual {np.max(np.abs(res)):.3e}"
-        )
-    return p_new
 
 
-def flow_classical(f, surface, p0, t_final, h, newton_tol=1e-13, max_newton=40):
+def flow_classical(f, surface, p0, t_final, h):
     """Implicit-midpoint Hamiltonian flow of f from p0.
 
     Negative h integrates backwards.  Torus coordinates are kept on the lift
-    internally (the fields are periodic) and wrapped in the output.
+    internally (the fields are periodic) and wrapped in the output.  A Newton
+    failure raises NewtonDivergence naming the step and time.
     """
     if h == 0:
         raise ValueError("step must be nonzero")
     steps = int(round(abs(t_final) / abs(h)))
+    times = np.arange(steps + 1) * h
     pts = np.empty((steps + 1, 2))
     pts[0] = np.asarray(p0, dtype=float)
     for i in range(steps):
-        pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h, newton_tol, max_newton)
-    times = np.arange(steps + 1) * h
-    out = surface.wrap(pts) if surface.kind == "torus" else pts
+        try:
+            pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(
+                f"classical flow failed in step {i + 1} of {steps} "
+                f"(t = {float(times[i + 1])!r}): {exc}"
+            ) from exc
+    out = surface.wrap(pts)
     vals = np.asarray(f(out[:, 0], out[:, 1]), dtype=float)
     return ClassicalTrajectory(times=times, points=out, values=vals)
 

@@ -21,7 +21,11 @@ from .errors import AreaTooSmall, DegenerateLoop, GeometryError, NonContractible
 
 MIN_SAMPLES = 16
 GAP_FLOOR = 1e-12
-DEFAULT_BS_TOL = 1e-9
+# Level defect |A - round(A)| within which a loop counts as Bohr-Sommerfeld.
+BS_TOL = 1e-9
+# project_to_bs: action residual at which rescaling stops, and the pass budget.
+PROJECTION_TOL = 1e-12
+PROJECTION_MAX_ITER = 60
 
 
 def grid(n):
@@ -287,11 +291,11 @@ def bs_defect(loop, surface):
     return a - np.floor(a + 0.5)
 
 
-def is_bohr_sommerfeld(loop, surface, tol=DEFAULT_BS_TOL):
-    return abs(bs_defect(loop, surface)) <= tol
+def is_bohr_sommerfeld(loop, surface):
+    return abs(bs_defect(loop, surface)) <= BS_TOL
 
 
-def project_to_bs(loop, surface, tol=1e-12, max_iter=60):
+def project_to_bs(loop, surface):
     """Rescale the loop about its centroid onto the nearest integer level.
 
     The target integer k = round(A) is frozen from the initial action; each
@@ -307,8 +311,8 @@ def project_to_bs(loop, surface, tol=1e-12, max_iter=60):
         raise AreaTooSmall(f"action {a:.3g} rounds to the zero level")
     pts = loop.points.copy()
     center = pts.mean(axis=0)
-    for _ in range(max_iter):
-        if abs(a - k) <= tol:
+    for _ in range(PROJECTION_MAX_ITER):
+        if abs(a - k) <= PROJECTION_TOL:
             return Loop(pts, winding=loop.winding)
         scale = np.sqrt(k / a)
         pts = center + scale * (pts - center)

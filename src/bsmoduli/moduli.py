@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateLoop, SingularPairing
 from .loops import (
-    DEFAULT_BS_TOL,
+    BS_TOL,
     HalfDensity,
     Loop,
     bs_defect,
@@ -101,7 +101,7 @@ class Covector:
 class ModuliPoint:
     """Pair (loop, theta) over a surface; strict points satisfy both invariants."""
 
-    def __init__(self, surface, loop, theta, strict=True, bs_tol=DEFAULT_BS_TOL):
+    def __init__(self, surface, loop, theta, strict=True):
         if loop.n != theta.n:
             raise ValueError("loop and half-density sample counts differ")
         self.surface = surface
@@ -113,8 +113,8 @@ class ModuliPoint:
             if abs(vol - 1.0) > 1e-10:
                 raise ValueError(f"half-density volume {vol!r} is not 1 within 1e-10")
             defect = bs_defect(loop, surface)
-            if abs(defect) > bs_tol:
-                raise ValueError(f"loop level defect {defect:.3e} exceeds {bs_tol:.1e}")
+            if abs(defect) > BS_TOL:
+                raise ValueError(f"loop level defect {defect:.3e} exceeds {BS_TOL:.1e}")
 
     @property
     def n(self):

@@ -20,6 +20,8 @@ from . import expressions as ex
 from .errors import DegenerateLoop, ExpressionError
 
 TANGENT_FLOOR = 1e-14
+# Midpoint-rule grid per axis for the torus's mean omega density.
+PREQUANTIZATION_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -212,13 +214,14 @@ class SymplecticSurface:
         pts[..., 1] %= self.periods[1]
         return pts
 
-    def prequantization_number(self, grid=256):
+    def prequantization_number(self):
         """Lx * Ly * mean(w); must be a positive integer for holonomy levels."""
         if self.kind != "torus":
             raise ValueError("prequantization number is defined for the torus")
         lx, ly = self.periods
-        xs = (np.arange(grid) + 0.5) * lx / grid
-        ys = (np.arange(grid) + 0.5) * ly / grid
+        n = PREQUANTIZATION_GRID
+        xs = (np.arange(n) + 0.5) * lx / n
+        ys = (np.arange(n) + 0.5) * ly / n
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         return lx * ly * float(np.mean(self.density(xg, yg)))
 

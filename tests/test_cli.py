@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,21 @@ class TestExitCodes:
         }
         assert run("flow", cfg, tmp_path) == EXIT_NUMERIC
 
+    def test_diverging_classical_flow_names_the_step(self, tmp_path, capsys):
+        # the absolute Newton tolerance is out of reach once the orbit has grown
+        cfg = {
+            "mode": "classical",
+            "field": "x*y+0.3*x^2",
+            "initial": [1.0, 0.2],
+            "t_final": 20.0,
+            "step": 0.01,
+        }
+        assert run("flow", cfg, tmp_path) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"step \d+ of 2000 \(t = ", err)
+        assert "failed to converge" in err
+        assert not (tmp_path / "flow_classical.csv").exists()
+
     def test_diverging_moduli_flow_is_numeric_exit(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
         cfg.update(field="x^4+y^4", step=0.5, t_final=20.0)
@@ -163,6 +179,22 @@ class TestReports:
         assert run("identity-check", CONFIG_DIR / "identity_check.json", tmp_path) == EXIT_OK
         rows = read_rows(tmp_path / "identity_check.csv")
         assert all(row["status"] == "pass" for row in rows)
+
+    def test_identity_check_loop_diagnostics(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+        cfg["dump_loop_diagnostics"] = True
+        assert run("identity-check", cfg, tmp_path) == EXIT_OK
+        path = tmp_path / "loop_diagnostics.csv"
+        header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
+        assert header == "loop,i,s,x,y,dxds,dyds,speed"
+        rows = read_rows(path)
+        n = max(cfg["sample_counts"])
+        assert len(rows) == 2 * n
+        assert [r["loop"] for r in rows] == ["circle"] * n + ["ellipse"] * n
+        assert [int(r["i"]) for r in rows] == list(range(n)) * 2
+        dx, dy, speed = (np.array([float(r[c]) for r in rows]) for c in ("dxds", "dyds", "speed"))
+        assert np.array_equal(speed, np.sqrt(dx * dx + dy * dy))
+        assert np.max(np.abs(speed[:n] - 2 * np.pi)) <= 1e-12
 
     def test_qm_check_default_config(self, tmp_path):
         assert run("qm-check", CONFIG_DIR / "qm_check.json", tmp_path) == EXIT_OK

@@ -10,6 +10,7 @@ from bsmoduli import (
     ModuliPoint,
     NewtonDivergence,
     SymplecticSurface,
+    dynamics,
     evaluate_F,
     flow_classical,
     flow_moduli,
@@ -58,6 +59,19 @@ class TestClassicalFlow:
         forward = flow_classical(f, plane, (1.2, 0.3), 3.0, 1e-3)
         back = flow_classical(f, plane, forward.final(), 3.0, -1e-3)
         assert np.linalg.norm(back.final() - np.array([1.2, 0.3])) < 1e-9
+
+    def test_one_field_call_per_newton_pass(self, plane, monkeypatch):
+        # per step: the predictor, one pass that updates and one that converges
+        calls = []
+        field = dynamics.classical_field
+
+        def counted(*args):
+            calls.append(1)
+            return field(*args)
+
+        monkeypatch.setattr(dynamics, "classical_field", counted)
+        flow_classical(expr("(x^2+y^2)/2"), plane, (1.0, 0.0), 1.0, 1e-2)
+        assert len(calls) == 300
 
     def test_newton_divergence(self, plane):
         f = expr("(x^2+y^2)^3")

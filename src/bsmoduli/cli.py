@@ -169,6 +169,11 @@ def load_config(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _require_object(spec, what):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be a JSON object, got {spec!r}")
+
+
 def build_field(text):
     if not isinstance(text, str):
         raise ConfigError(f"field spec must be an expression string, got {text!r}")
@@ -178,9 +183,23 @@ def build_field(text):
         raise ConfigError(f"bad field expression {text!r}: {exc}") from exc
 
 
+def _build_field_pairs(pairs):
+    """ScalarField pairs for [f, g] expression pairs, building each distinct expression once.
+
+    Commands call this before any numerics, so a bad last pair exits 2 with no work done.
+    """
+    fields = {}
+    for fs, gs in pairs:
+        for text in (fs, gs):
+            if not isinstance(text, str) or text not in fields:
+                fields[text] = build_field(text)
+    return [(fields[fs], fields[gs]) for fs, gs in pairs]
+
+
 def build_surface(spec):
     if spec is None:
         return SymplecticSurface.plane()
+    _require_object(spec, "surface")
     kind = spec.get("kind", "plane")
     density = None
     if "omega_density" in spec:
@@ -207,6 +226,7 @@ def build_surface(spec):
 
 
 def build_loop(spec, n, surface):
+    _require_object(spec, "loop")
     kind = spec.get("type")
     center = tuple(spec.get("center", (0.0, 0.0)))
     try:
@@ -234,6 +254,7 @@ def loop_label(spec, index):
 
 
 def build_density(spec, n):
+    _require_object(spec, "density")
     kind = spec.get("type", "uniform")
     if kind == "uniform":
         return HalfDensity.uniform(n)
@@ -258,14 +279,7 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
     density_specs = config.get("densities", [{"type": "uniform"}])
     scale = float(config.get("scale", 1.0))
 
-    # Each distinct expression is built once, before any numerics.
-    fields = {}
-    field_pairs = []
-    for fs, gs in pairs:
-        for text in (fs, gs):
-            if not isinstance(text, str) or text not in fields:
-                fields[text] = build_field(text)
-        field_pairs.append((fields[fs], fields[gs]))
+    field_pairs = _build_field_pairs(pairs)
 
     instances = []
     for n in counts:
@@ -340,15 +354,14 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
     counts = config.get("sample_counts", [config.get("n_samples", 256)])
     pairs = config.get("pairs", [])
     loop_specs = config.get("loops", [])
+    field_pairs = _build_field_pairs(pairs)
 
     rows = []
     for n in counts:
         n = int(n)
         for li, lspec in enumerate(loop_specs):
             loop = build_loop(lspec, n, surface)
-            for fs, gs in pairs:
-                f = build_field(fs)
-                g = build_field(gs)
+            for (fs, gs), (f, g) in zip(pairs, field_pairs):
                 res = np.max(np.abs(restriction_identity_residual(f, g, loop, surface)))
                 c1, c2 = compatibility_residuals(f, g, loop, surface)
                 m1 = float(np.max(np.abs(c1)))

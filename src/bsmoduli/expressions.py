@@ -344,21 +344,6 @@ def poisson_node(f_node, g_node, w_node=None):
     return simplify(num)
 
 
-def to_string(node):
-    """Re-render an AST as parseable text (used for reports)."""
-    tag = node[0]
-    if tag == "const":
-        return repr(node[1])
-    if tag == "var":
-        return node[1]
-    if tag in ("add", "sub", "mul", "div"):
-        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[tag]
-        return f"({to_string(node[1])} {op} {to_string(node[2])})"
-    if tag == "pow":
-        return f"({to_string(node[1])}^{node[2]})"
-    return f"{tag}({to_string(node[1])})"
-
-
 def trig_frequencies(node):
     """All (a, b) coefficient pairs appearing inside sin/cos arguments."""
     tag = node[0]

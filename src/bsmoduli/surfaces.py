@@ -11,8 +11,7 @@ of f is the unique X_f with i_{X_f} omega = df, i.e.
     X_f = (f_y / w, -f_x / w),      {f, g} = df(X_g) = (f_x g_y - f_y g_x) / w.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,85 +25,46 @@ PREQUANTIZATION_GRID = 256
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar field on the chart, with an exact or finite-difference gradient.
+    """Real scalar field on the chart: an expression AST with exact symbolic gradients.
 
-    ``fn`` and ``grad_fn`` broadcast over numpy arrays.  When ``grad_fn`` is
-    None, gradients fall back to central differences with step ``h_fd``.
+    Values and both partial derivatives broadcast over numpy arrays; the two
+    gradient trees are differentiated and simplified once, at construction.
     """
 
-    fn: Callable
-    grad_fn: Optional[Callable] = None
-    h_fd: float = 1e-4
-    source: Optional[str] = None
-    ast: Optional[tuple] = field(default=None, repr=False)
+    ast: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_dx", ex.simplify(ex.differentiate(self.ast, "x")))
+        object.__setattr__(self, "_dy", ex.simplify(ex.differentiate(self.ast, "y")))
+
+    @staticmethod
+    def _eval(node, x, y):
+        return np.broadcast_arrays(ex.evaluate(node, x, y), x)[0] * 1.0
 
     def __call__(self, x, y):
-        return self.fn(x, y)
+        return self._eval(self.ast, x, y)
 
     def grad(self, x, y):
-        if self.grad_fn is not None:
-            return self.grad_fn(x, y)
-        h = self.h_fd
-        gx = (self.fn(x + h, y) - self.fn(x - h, y)) / (2.0 * h)
-        gy = (self.fn(x, y + h) - self.fn(x, y - h)) / (2.0 * h)
-        return gx, gy
+        return self._eval(self._dx, x, y), self._eval(self._dy, x, y)
 
     @classmethod
-    def from_expression(cls, text, h_fd=1e-4):
-        node = ex.simplify(ex.parse(text))
-        dx = ex.simplify(ex.differentiate(node, "x"))
-        dy = ex.simplify(ex.differentiate(node, "y"))
-
-        def fn(x, y, _n=node):
-            return np.broadcast_arrays(ex.evaluate(_n, x, y), x)[0] * 1.0
-
-        def grad_fn(x, y, _dx=dx, _dy=dy):
-            gx = np.broadcast_arrays(ex.evaluate(_dx, x, y), x)[0] * 1.0
-            gy = np.broadcast_arrays(ex.evaluate(_dy, x, y), x)[0] * 1.0
-            return gx, gy
-
-        return cls(fn=fn, grad_fn=grad_fn, h_fd=h_fd, source=text, ast=node)
+    def from_expression(cls, text):
+        return cls(ex.simplify(ex.parse(text)))
 
     @classmethod
     def constant(cls, value):
-        value = float(value)
-        return cls(
-            fn=lambda x, y: np.full(np.broadcast(x, y).shape, value) if np.ndim(x) or np.ndim(y) else value,
-            grad_fn=lambda x, y: (np.zeros(np.broadcast(x, y).shape), np.zeros(np.broadcast(x, y).shape)),
-            source=repr(value),
-            ast=("const", value),
-        )
+        return cls(("const", float(value)))
 
-    def _combine(self, other, tag, fn):
+    def _combine(self, other, tag):
         if not isinstance(other, ScalarField):
             other = ScalarField.constant(other)
-        grad_fn = None
-        if self.grad_fn is not None and other.grad_fn is not None:
-            if tag == "add":
-                def grad_fn(x, y, _a=self, _b=other):
-                    ax, ay = _a.grad(x, y)
-                    bx, by = _b.grad(x, y)
-                    return ax + bx, ay + by
-            else:
-                def grad_fn(x, y, _a=self, _b=other):
-                    ax, ay = _a.grad(x, y)
-                    bx, by = _b.grad(x, y)
-                    av = _a(x, y)
-                    bv = _b(x, y)
-                    return ax * bv + av * bx, ay * bv + av * by
-        ast = None
-        if self.ast is not None and other.ast is not None:
-            ast = ex.simplify((tag, self.ast, other.ast))
-        return ScalarField(fn=fn, grad_fn=grad_fn, h_fd=self.h_fd, ast=ast,
-                           source=ex.to_string(ast) if ast is not None else None)
+        return ScalarField(ex.simplify((tag, self.ast, other.ast)))
 
     def __add__(self, other):
-        o = other if isinstance(other, ScalarField) else ScalarField.constant(other)
-        return self._combine(o, "add", lambda x, y: self.fn(x, y) + o.fn(x, y))
+        return self._combine(other, "add")
 
     def __mul__(self, other):
-        o = other if isinstance(other, ScalarField) else ScalarField.constant(other)
-        return self._combine(o, "mul", lambda x, y: self.fn(x, y) * o.fn(x, y))
+        return self._combine(other, "mul")
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -120,29 +80,20 @@ class ScalarField:
         return out
 
 
-def field_is_periodic(f, surface, tol=1e-9):
+def field_is_periodic(f, surface):
     """Whether f is compatible with the surface's periodic identification."""
     if surface.kind != "torus":
         return True
+    if ex.polynomial_degree(f.ast) > 0:
+        return False
     lx, ly = surface.periods
-    if f.ast is not None:
-        if ex.polynomial_degree(f.ast) > 0:
+    two_pi = 2.0 * np.pi
+    for a, b in ex.trig_frequencies(f.ast):
+        ma = a * lx / two_pi
+        mb = b * ly / two_pi
+        if abs(ma - round(ma)) > 1e-9 or abs(mb - round(mb)) > 1e-9:
             return False
-        two_pi = 2.0 * np.pi
-        for a, b in ex.trig_frequencies(f.ast):
-            ma = a * lx / two_pi
-            mb = b * ly / two_pi
-            if abs(ma - round(ma)) > 1e-9 or abs(mb - round(mb)) > 1e-9:
-                return False
-        return True
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0.0, lx, 16)
-    ys = rng.uniform(0.0, ly, 16)
-    base = f(xs, ys)
-    return bool(
-        np.max(np.abs(f(xs + lx, ys) - base)) <= tol
-        and np.max(np.abs(f(xs, ys + ly) - base)) <= tol
-    )
+    return True
 
 
 class SymplecticSurface:
@@ -178,7 +129,8 @@ class SymplecticSurface:
                 potential = (lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
                              lambda x, y: np.asarray(x, dtype=float))
         self.potential = potential
-        if omega_density is not None and field_is_periodic(omega_density, self, tol=1e-12) is False:
+        self._prequantization_number = None
+        if omega_density is not None and not field_is_periodic(omega_density, self):
             raise ValueError("omega density must be periodic on a torus")
 
     @classmethod
@@ -215,15 +167,20 @@ class SymplecticSurface:
         return pts
 
     def prequantization_number(self):
-        """Lx * Ly * mean(w); must be a positive integer for holonomy levels."""
+        """Lx * Ly * mean(w); must be a positive integer for holonomy levels.
+
+        The surface never changes, so the grid mean is computed on first use only.
+        """
         if self.kind != "torus":
             raise ValueError("prequantization number is defined for the torus")
-        lx, ly = self.periods
-        n = PREQUANTIZATION_GRID
-        xs = (np.arange(n) + 0.5) * lx / n
-        ys = (np.arange(n) + 0.5) * ly / n
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        return lx * ly * float(np.mean(self.density(xg, yg)))
+        if self._prequantization_number is None:
+            lx, ly = self.periods
+            n = PREQUANTIZATION_GRID
+            xs = (np.arange(n) + 0.5) * lx / n
+            ys = (np.arange(n) + 0.5) * ly / n
+            xg, yg = np.meshgrid(xs, ys, indexing="ij")
+            self._prequantization_number = lx * ly * float(np.mean(self.density(xg, yg)))
+        return self._prequantization_number
 
     def check_potential(self, n_samples=64, h=1e-5, seed=0):
         """Max |curl(alpha) - w| over random sample points (finite differences)."""
@@ -290,24 +247,9 @@ def poisson_bracket(f, g, surface, p):
 
 
 def poisson_bracket_field(f, g, surface):
-    """The bracket {f, g} as a ScalarField.
-
-    When both inputs carry expression ASTs (and the density is unit or
-    expression-backed) the result is composed symbolically, so its values and
-    gradient are exact.  Otherwise values use the exact/analytic gradients of
-    f and g, and the gradient of the bracket falls back to finite differences.
-    """
+    """The bracket {f, g} as a ScalarField, composed symbolically from the ASTs."""
     w = surface.omega_density
-    if f.ast is not None and g.ast is not None and (w is None or w.ast is not None):
-        node = ex.poisson_node(f.ast, g.ast, None if w is None else w.ast)
-        return ScalarField.from_expression(ex.to_string(node))
-
-    def fn(x, y):
-        fx, fy = f.grad(x, y)
-        gx, gy = g.grad(x, y)
-        return (np.asarray(fx) * gy - np.asarray(fy) * gx) / surface.density(x, y)
-
-    return ScalarField(fn=fn)
+    return ScalarField(ex.poisson_node(f.ast, g.ast, None if w is None else w.ast))
 
 
 def tangential_normal_split(v, t):
@@ -319,16 +261,12 @@ def tangential_normal_split(v, t):
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
-    tt = np.sum(t * t, axis=-1)
-    if np.min(tt) < TANGENT_FLOOR**2:
-        raise DegenerateLoop("collapsed loop segment: tangent below 1e-14")
-    coeff = np.sum(v * t, axis=-1) / tt
-    v_hor = coeff[..., None] * t
+    v_hor = tangential_coefficient(v, t)[..., None] * t
     return v_hor, v - v_hor
 
 
 def tangential_coefficient(v, t):
-    """Coefficient u with v_hor = u * t; same degeneracy guard as the split."""
+    """Coefficient u with v_hor = u * t; raises DegenerateLoop when a tangent collapses."""
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
     tt = np.sum(t * t, axis=-1)

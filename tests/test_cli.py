@@ -89,6 +89,35 @@ class TestExitCodes:
         assert not (tmp_path / "bracket_check.csv").exists()
         assert calls == []
 
+    def test_identity_check_bad_last_pair_fails_before_numerics(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.restriction_identity_residual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "restriction_identity_residual", counted)
+        cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+        cfg["pairs"].append(["x", "x+*y"])
+        assert run("identity-check", cfg, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "identity_check.csv").exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("command,path,key,value,what", [
+        ("bracket-check", "bracket_check.json", "loops", ["circle"], "loop"),
+        ("bracket-check", "bracket_check.json", "surface", "plane", "surface"),
+        ("flow", "flow_moduli.json", "density", "uniform", "density"),
+    ])
+    def test_non_object_spec_is_config_error(self, tmp_path, capsys, command, path, key,
+                                             value, what):
+        cfg = json.loads((CONFIG_DIR / path).read_text())
+        cfg[key] = value
+        assert run(command, cfg, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {what} spec must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_empty_task_lists_pass(self, tmp_path):
         assert run("bracket-check", {"pairs": [], "loops": [], "n_samples": 32}, tmp_path) == EXIT_OK
         rows = read_rows(tmp_path / "bracket_check.csv")

@@ -79,14 +79,6 @@ def test_poisson_node_with_density():
     assert ex.evaluate(node, 1.0, 1.0) == pytest.approx(0.5)
 
 
-def test_roundtrip_to_string():
-    for text in ["x^2 + sin(2*x - y)", "x*y/(1 + 0)", "cos(pi*y) - 4"]:
-        node = ex.parse(text)
-        again = ex.parse(ex.to_string(node))
-        xs = np.linspace(-1, 1, 5)
-        assert np.allclose(ex.evaluate(node, xs, xs), ex.evaluate(again, xs, xs), atol=1e-15)
-
-
 def test_trig_frequencies_and_degree():
     node = ex.parse("x^2*y + sin(2*x + 3*y)")
     assert ex.polynomial_degree(node) == 3

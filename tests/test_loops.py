@@ -305,6 +305,25 @@ class TestTorus:
         good = SymplecticSurface.torus(2.0, 1.0)
         assert abs(bs_defect(loop, good)) < 0.5
 
+    def test_prequantization_number_computed_once(self, monkeypatch):
+        torus = SymplecticSurface.torus(
+            1.0, 1.0, omega_density=expr("1+0.5*cos(2*pi*x)"),
+            potential=(expr("0"), expr("x+sin(2*pi*x)/(4*pi)")),
+        )
+        grid_calls = []
+        density = torus.density
+
+        def counted(x, y):
+            if np.shape(x) == (256, 256):
+                grid_calls.append(1)
+            return density(x, y)
+
+        monkeypatch.setattr(torus, "density", counted)
+        loop = Loop.circle(0.2, center=(0.5, 0.5), n=128)
+        defects = [bs_defect(loop, torus) for _ in range(10)]
+        assert len(grid_calls) == 1
+        assert defects == [defects[0]] * 10
+
     def test_resample_wound_loop(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
         s = np.arange(64) / 64

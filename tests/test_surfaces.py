@@ -265,12 +265,6 @@ class TestScalarField:
             assert gx == pytest.approx(fx, rel=1e-5, abs=1e-7)
             assert gy == pytest.approx(fy, rel=1e-5, abs=1e-7)
 
-    def test_fd_fallback_gradient(self):
-        f = ScalarField(fn=lambda x, y: np.sin(x) * y)
-        gx, gy = f.grad(0.3, 2.0)
-        assert gx == pytest.approx(2.0 * np.cos(0.3), rel=1e-7)
-        assert gy == pytest.approx(np.sin(0.3), rel=1e-7)
-
     def test_torus_periodicity_detection(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
         assert field_is_periodic(expr("sin(pi*x)*1 + cos(2*pi*y)"), torus)
@@ -297,6 +291,32 @@ class TestScalarField:
         assert gy == pytest.approx(x * y + (x + y) * x, rel=1e-12)
         cube = f**3
         assert cube(x, y) == pytest.approx((x + y) ** 3, rel=1e-13)
+
+    def test_field_algebra_is_exact_composition(self, rng):
+        # sum and product rules applied to the parts' own values and gradients, bit for bit
+        f = expr("x^2*y+sin(2*x-y)")
+        g = expr("cos(x)+y^3")
+        x, y = rng.uniform(-2, 2, (2, 1000))
+        fv, (fx, fy) = f(x, y), f.grad(x, y)
+        gv, (gx, gy) = g(x, y), g.grad(x, y)
+        f2v = fv * fv
+        f2x, f2y = fx * fv + fv * fx, fy * fv + fv * fy
+        cases = [
+            (f * g, fv * gv, fx * gv + fv * gx, fy * gv + fv * gy),
+            (f + g, fv + gv, fx + gx, fy + gy),
+            (2 * f + 1, fv * 2.0 + 1.0, fx * 2.0, fy * 2.0),
+            (f**3, f2v * fv, f2x * fv + f2v * fx, f2y * fv + f2v * fy),
+        ]
+        for field, value, dx, dy in cases:
+            got_x, got_y = field.grad(x, y)
+            assert np.array_equal(field(x, y), value)
+            assert np.array_equal(got_x, dx)
+            assert np.array_equal(got_y, dy)
+
+    def test_field_is_its_ast(self):
+        f = ScalarField.from_expression("x*y + 2")
+        assert f == ScalarField(f.ast)
+        assert ScalarField.constant(3).ast == ("const", 3.0)
 
     def test_power_exponent_checks(self):
         with pytest.raises(ExpressionError):

@@ -351,16 +351,15 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
     tol_point = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
     tol_compat = float(config.get("tolerance_compat", 1e-12))
     surface = build_surface(config.get("surface"))
-    counts = config.get("sample_counts", [config.get("n_samples", 256)])
+    counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 256)])]
     pairs = config.get("pairs", [])
     loop_specs = config.get("loops", [])
     field_pairs = _build_field_pairs(pairs)
+    loops = {n: [build_loop(lspec, n, surface) for lspec in loop_specs] for n in counts}
 
     rows = []
     for n in counts:
-        n = int(n)
-        for li, lspec in enumerate(loop_specs):
-            loop = build_loop(lspec, n, surface)
+        for li, (lspec, loop) in enumerate(zip(loop_specs, loops[n])):
             for (fs, gs), (f, g) in zip(pairs, field_pairs):
                 res = np.max(np.abs(restriction_identity_residual(f, g, loop, surface)))
                 c1, c2 = compatibility_residuals(f, g, loop, surface)
@@ -387,9 +386,7 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
     )
     if config.get("dump_loop_diagnostics", False):
         diag_rows = []
-        n = int(counts[-1])
-        for li, lspec in enumerate(loop_specs):
-            loop = build_loop(lspec, n, surface)
+        for li, (lspec, loop) in enumerate(zip(loop_specs, loops[counts[-1]])):
             table = sample_diagnostics(loop)
             for i in range(loop.n):
                 diag_rows.append({

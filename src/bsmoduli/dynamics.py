@@ -4,11 +4,16 @@ Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric); moduli trajectories use classical RK4 on the pair
 (loop points, weight values), with the stage velocity given by the
 Hamiltonian field of the induced observable realized as a normal
-displacement field.  Each requested step is split into equal RK4 substeps
-short enough for the flow's advection speed (``RK4_STABLE_Z``).  After every
-requested step the weight is renormalized to unit volume and the loop
-re-projected onto its integer level; both corrections track the
-integrator's own local error and are logged.
+displacement field.  That velocity comes from one array kernel,
+``_stage_velocity``, which builds no loop, weight or moduli-point objects and
+makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
+stack of (u theta0^2)' and f1'.  Each requested step is split into equal RK4
+substeps short enough for the flow's advection speed (``RK4_STABLE_Z``),
+sized from the first stage's tangential coefficient.  After every requested
+step the weight is renormalized to unit volume and the loop re-projected
+onto its integer level, starting from the action integral that also gives
+the logged level defect; both corrections track the integrator's own local
+error and are logged.
 """
 
 import math
@@ -18,15 +23,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, NewtonDivergence
-from .loops import HalfDensity, Loop, bs_defect, project_to_bs
-from .moduli import ModuliPoint, _normal_displacement
-from .observables import (
-    _field_and_scale,
-    evaluate_F,
-    hamiltonian_field_H,
-    tangential_hamiltonian_coefficient,
+from .loops import (
+    HalfDensity,
+    Loop,
+    _defect_and_projection,
+    _require_gaps,
+    integrate_density,
+    loop_derivative,
 )
+from .moduli import ModuliPoint, _require_pointwise_dual
+from .observables import _field_and_scale, evaluate_F
 from .surfaces import hamiltonian_vector_field as classical_field
+from .surfaces import tangential_coefficient
 
 # RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2); substeps keep the
 # fastest advected Fourier mode below this margin.
@@ -120,41 +128,49 @@ def _loop_checksum(points, theta):
     return zlib.crc32(points.tobytes() + theta.tobytes())
 
 
-def _moduli_velocity(f, surface, points, theta_values, winding):
-    """Stage velocity (d points/dt, d theta/dt) of the induced Hamiltonian flow."""
-    loop = Loop(points, winding=winding)
-    theta = HalfDensity(theta_values)
-    p = ModuliPoint(surface, loop, theta, strict=False)
-    h_field = hamiltonian_field_H(f, p)
-    return _normal_displacement(p, h_field.fvec), h_field.tvec
+def _stage_velocity(field, tau, surface, points, theta):
+    """RK4 stage velocity (nu, t1) of the flow of tau * F_field, plus the tangential coefficient u.
 
-
-def _substep_count(f, point, h):
-    """RK4 substeps that keep |h/m| * (fastest advected mode) within RK4_STABLE_Z.
-
-    The normal-displacement flow advects the loop at speed 2 u_f, so Fourier
-    mode k has eigenvalue i 2 pi k 2 u_f; the fastest resolved mode is
-    k = N/2 - 1 (the Nyquist mode has zero spectral derivative).
+    The array form of ``_normal_displacement`` applied to ``hamiltonian_field_H``,
+    with the same operations in the same order: the Riesz weights
+    (-tau (u theta^2)', tau 2 f theta) of dF, their pointwise dual, and the
+    normal displacement of its function part.  The function part does not
+    depend on (u theta^2)', so both derivatives run as one call on an (N, 2)
+    stack: two spectral derivative calls per stage, the tangent included.
+    The guards (gap floor, density positivity, tangent floor, pairing floor)
+    are the helpers Loop, hamiltonian_vector_field, tangential_coefficient and
+    sharp run.
     """
-    field, tau = _field_and_scale(f)
-    u = tau * tangential_hamiltonian_coefficient(field, point)
-    z = abs(h) * 2.0 * np.pi * (point.n // 2 - 1) * 2.0 * float(np.max(np.abs(u)))
-    return max(1, math.ceil(z / RK4_STABLE_Z))
+    _require_gaps(points)
+    tan = loop_derivative(points)
+    u = tangential_coefficient(classical_field(field, surface, points), tan)
+    _require_pointwise_dual(theta)
+    th2 = theta**2
+    x, y = points[:, 0], points[:, 1]
+    raw_f = tau * (2.0 * np.asarray(field(x, y), dtype=float) * theta) / theta
+    vol = integrate_density(th2)
+    f1 = raw_f - integrate_density(raw_f * th2) / vol
+    derivs = loop_derivative(np.stack([u * th2, f1], axis=1))
+    raw_t = -(tau * -derivs[:, 0]) / theta
+    t1 = raw_t - integrate_density(theta * raw_t) / vol * theta
+    coeff = derivs[:, 1] / (np.asarray(surface.density(x, y)) * np.sum(tan * tan, axis=1))
+    nu = coeff[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=1)
+    return nu, t1, u
 
 
 def _all_finite(*arrays):
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def _rk4_step(f, surface, pts, th, winding, h):
-    """One classical RK4 step of the moduli flow; None once a stage state is not finite."""
-    kp, kt = np.zeros_like(pts), np.zeros_like(th)
+def _rk4_step(field, tau, surface, pts, th, h, k1):
+    """One classical RK4 step from its first-stage velocity k1; None once a stage state is not finite."""
+    kp, kt = k1
     sum_p, sum_t = kp.copy(), kt.copy()
-    for c, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         stage_p, stage_t = pts + c * h * kp, th + c * h * kt
         if not _all_finite(stage_p, stage_t):
             return None
-        kp, kt = _moduli_velocity(f, surface, stage_p, stage_t, winding)
+        kp, kt, _ = _stage_velocity(field, tau, surface, stage_p, stage_t)
         sum_p += weight * kp
         sum_t += weight * kt
     return pts + (h / 6.0) * sum_p, th + (h / 6.0) * sum_t
@@ -164,16 +180,22 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     """RK4 flow of the induced observable F_f on the moduli space.
 
     Each requested step of length h runs as ``substeps[i]`` equal RK4
-    substeps (see ``_substep_count``).  Records per step: time, F_f,
-    pre-renormalization volume defect, pre-projection level defect, and a
-    CRC32 state checksum.  Snapshots of the full state are kept every
-    ``snapshot_every`` steps when positive.  A state that stops being finite
-    raises GeometryError naming the step and time.
+    substeps, m = max(1, ceil(z / RK4_STABLE_Z)) with
+    z = |h| * 2 pi (N/2 - 1) * 2 max|tau u_f|: the normal-displacement flow
+    advects the loop at speed 2 tau u_f, so Fourier mode k has eigenvalue
+    i 2 pi k 2 tau u_f, and the fastest resolved mode is k = N/2 - 1 (the
+    Nyquist mode has zero spectral derivative).  u_f comes from the first
+    stage of the step.  Records per step: time, F_f, pre-renormalization
+    volume defect, pre-projection level defect, and a CRC32 state checksum.
+    Snapshots of the full state are kept every ``snapshot_every`` steps when
+    positive.  A state that stops being finite raises GeometryError naming
+    the step and time.
     """
     surface = p0.surface
+    field, tau = _field_and_scale(f)
     steps = int(round(t_final / h))
-    pts = p0.loop.points.copy()
-    th = p0.theta.values.copy()
+    pts = p0.loop.points
+    th = p0.theta.values
     winding = p0.loop.winding
 
     times = np.arange(steps + 1) * h
@@ -184,17 +206,22 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     checksums = []
     snapshots = []
 
-    current = ModuliPoint(surface, Loop(pts, winding=winding), HalfDensity(th), strict=False)
+    current = ModuliPoint(surface, p0.loop, p0.theta, strict=False)
     f_vals[0] = evaluate_F(f, current)
     checksums.append(_loop_checksum(pts, th))
     if snapshot_every > 0:
         snapshots.append((0.0, current))
 
     for i in range(steps):
-        m = substeps[i] = _substep_count(f, current, h)
-        for _ in range(m):
+        with np.errstate(all="ignore"):
+            nu, t1, u = _stage_velocity(field, tau, surface, pts, th)
+        z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.max(np.abs(tau * u)))
+        m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
+        for j in range(m):
             with np.errstate(all="ignore"):
-                state = _rk4_step(f, surface, pts, th, winding, h / m)
+                if j:
+                    nu, t1, _ = _stage_velocity(field, tau, surface, pts, th)
+                state = _rk4_step(field, tau, surface, pts, th, h / m, (nu, t1))
             if state is None or not _all_finite(*state):
                 raise GeometryError(
                     f"moduli flow diverged in step {i + 1} of {steps} "
@@ -204,13 +231,12 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
 
         raw_theta = HalfDensity(th)
         vol_defects[i + 1] = abs(raw_theta.volume() - 1.0)
-        raw_loop = Loop(pts, winding=winding)
-        level_defects[i + 1] = abs(bs_defect(raw_loop, surface))
-        projected = project_to_bs(raw_loop, surface)
-        pts = projected.points.copy()
-        th = raw_theta.normalized().values
+        defect, loop = _defect_and_projection(Loop(pts, winding=winding), surface)
+        level_defects[i + 1] = abs(defect)
+        theta = raw_theta.normalized()
+        pts, th = loop.points, theta.values
 
-        current = ModuliPoint(surface, Loop(pts, winding=winding), HalfDensity(th), strict=False)
+        current = ModuliPoint(surface, loop, theta, strict=False)
         f_vals[i + 1] = evaluate_F(f, current)
         checksums.append(_loop_checksum(pts, th))
         if snapshot_every > 0 and (i + 1) % snapshot_every == 0:

@@ -14,6 +14,7 @@ enclosed area).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,15 @@ def grid(n):
     return np.arange(n) / float(n)
 
 
+@lru_cache(maxsize=8)
+def _derivative_multiplier(n):
+    """Spectral multipliers 2 pi i k of the rfft modes of n samples, Nyquist zeroed."""
+    mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    mult[-1] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
 def loop_derivative(u):
     """Spectral derivative of a periodic sequence sampled at s_i = i/N.
 
@@ -44,9 +54,7 @@ def loop_derivative(u):
     n = u.shape[0]
     if n % 2 != 0:
         raise ValueError("loop_derivative requires an even number of samples")
-    freqs = np.fft.rfftfreq(n, d=1.0 / n)
-    mult = 2j * np.pi * freqs
-    mult[-1] = 0.0
+    mult = _derivative_multiplier(n)
     spec = np.fft.rfft(u, axis=0)
     if u.ndim > 1:
         mult = mult.reshape((-1,) + (1,) * (u.ndim - 1))
@@ -125,6 +133,13 @@ class HalfDensity:
         return cls(np.asarray(data["theta"], dtype=float))
 
 
+def _require_gaps(pts):
+    """Raise DegenerateLoop when two consecutive samples of a closed (N, 2) curve nearly coincide."""
+    gaps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+    if np.min(gaps) <= GAP_FLOOR:
+        raise DegenerateLoop("consecutive loop samples closer than 1e-12")
+
+
 class Loop:
     """Closed discretized curve; orientation follows the sample order."""
 
@@ -137,9 +152,7 @@ class Loop:
             raise ValueError(f"loop needs an even number of samples, at least {MIN_SAMPLES}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("loop points must be finite")
-        gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        if np.min(gaps) <= GAP_FLOOR:
-            raise DegenerateLoop("consecutive loop samples closer than 1e-12")
+        _require_gaps(pts)
         self.points = pts
         self.points.setflags(write=False)
         self.winding = None if winding is None else (int(winding[0]), int(winding[1]))
@@ -284,11 +297,14 @@ def _require_prequantizable(surface):
         )
 
 
+def _level_offset(a):
+    return a - np.floor(a + 0.5)
+
+
 def bs_defect(loop, surface):
     """Distance of the holonomy integral from its nearest integer, in [-1/2, 1/2)."""
     _require_prequantizable(surface)
-    a = action_integral(loop, surface)
-    return a - np.floor(a + 0.5)
+    return _level_offset(action_integral(loop, surface))
 
 
 def is_bohr_sommerfeld(loop, surface):
@@ -302,21 +318,27 @@ def project_to_bs(loop, surface):
     pass scales by sqrt(k / A_current), which converges in one step for
     constant density and quadratically otherwise.
     """
+    return _defect_and_projection(loop, surface)[1]
+
+
+def _defect_and_projection(loop, surface):
+    """(bs_defect(loop), project_to_bs(loop)) from one shared first action integral."""
     _require_prequantizable(surface)
     a = action_integral(loop, surface)
+    defect = _level_offset(a)
     if abs(a) <= 0.1:
         raise AreaTooSmall(f"|action| = {abs(a):.3g} <= 0.1, too close to the zero level")
     k = int(round(a))
     if k == 0:
         raise AreaTooSmall(f"action {a:.3g} rounds to the zero level")
-    pts = loop.points.copy()
-    center = pts.mean(axis=0)
+    center = loop.points.mean(axis=0)
+    projected = loop
     for _ in range(PROJECTION_MAX_ITER):
         if abs(a - k) <= PROJECTION_TOL:
-            return Loop(pts, winding=loop.winding)
+            return defect, projected
         scale = np.sqrt(k / a)
-        pts = center + scale * (pts - center)
-        a = action_integral(Loop(pts, winding=loop.winding), surface)
+        projected = Loop(center + scale * (projected.points - center), winding=loop.winding)
+        a = action_integral(projected, surface)
     raise GeometryError(f"level projection did not converge: residual {a - k:.3g}")
 
 

@@ -27,10 +27,10 @@ from .loops import (
     BS_TOL,
     HalfDensity,
     Loop,
+    _defect_and_projection,
     bs_defect,
     integrate_density,
     loop_derivative,
-    project_to_bs,
 )
 
 SINGULAR_FLOOR = 1e-10
@@ -269,6 +269,13 @@ def omega_matrix(p):
     return OmegaMatrix(p)
 
 
+def _require_pointwise_dual(th):
+    """Raise SingularPairing when theta0 comes within SINGULAR_FLOOR of zero on the grid."""
+    floor = float(np.min(np.abs(th)))
+    if floor < SINGULAR_FLOOR:
+        raise SingularPairing(f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}")
+
+
 def sharp(p, ell, om=None):
     """The constrained tangent v with omega(p, v, .) = ell(.).
 
@@ -284,11 +291,7 @@ def sharp(p, ell, om=None):
     """
     if om is None and isinstance(ell, Covector):
         th = p.theta.values
-        floor = float(np.min(np.abs(th)))
-        if floor < SINGULAR_FLOOR:
-            raise SingularPairing(
-                f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}"
-            )
+        _require_pointwise_dual(th)
         return project_tangent(ell.tweight / th, -ell.fweight / th, p)
     if om is None:
         om = omega_matrix(p)
@@ -346,11 +349,10 @@ def realize_tangent(p, v, t, return_report=False):
     moved = Loop(new_pts, winding=p.loop.winding)
     raw_theta = HalfDensity(p.theta.values + t * v.tvec)
     volume_defect = abs(raw_theta.volume() - 1.0)
-    level_defect = abs(bs_defect(moved, p.surface))
-    projected = project_to_bs(moved, p.surface)
+    level_defect, projected = _defect_and_projection(moved, p.surface)
     out = ModuliPoint(p.surface, projected, raw_theta.normalized(), strict=p.strict)
     if return_report:
-        return out, {"volume_defect": volume_defect, "bs_defect": level_defect}
+        return out, {"volume_defect": volume_defect, "bs_defect": abs(level_defect)}
     return out
 
 

@@ -39,7 +39,7 @@ class ScalarField:
 
     @staticmethod
     def _eval(node, x, y):
-        return np.broadcast_arrays(ex.evaluate(node, x, y), x)[0] * 1.0
+        return np.broadcast_arrays(ex.evaluate(node, x, y), x, y)[0] * 1.0
 
     def __call__(self, x, y):
         return self._eval(self.ast, x, y)

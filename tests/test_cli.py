@@ -104,6 +104,21 @@ class TestExitCodes:
         assert not (tmp_path / "identity_check.csv").exists()
         assert calls == []
 
+    def test_identity_check_bad_last_loop_fails_before_numerics(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.restriction_identity_residual
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "restriction_identity_residual", counted)
+        cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+        cfg["loops"].append({"type": "hexagon"})
+        assert run("identity-check", cfg, tmp_path) == EXIT_CONFIG
+        assert not (tmp_path / "identity_check.csv").exists()
+        assert calls == []
+
     @pytest.mark.parametrize("command,path,key,value,what", [
         ("bracket-check", "bracket_check.json", "loops", ["circle"], "loop"),
         ("bracket-check", "bracket_check.json", "surface", "plane", "surface"),

@@ -5,18 +5,25 @@ import numpy as np
 import pytest
 
 from bsmoduli import (
+    DegenerateLoop,
     HalfDensity,
+    InducedObservable,
     Loop,
     ModuliPoint,
     NewtonDivergence,
+    SingularPairing,
     SymplecticSurface,
+    bs_defect,
     dynamics,
     evaluate_F,
     flow_classical,
     flow_moduli,
     hamiltonian_field_H,
+    loops,
     project_to_bs,
 )
+from bsmoduli.moduli import _normal_displacement
+from bsmoduli.observables import tangential_hamiltonian_coefficient
 from bsmoduli.cli import build_density, build_field, build_loop
 from conftest import expr, observed_orders
 
@@ -209,3 +216,120 @@ class TestModuliSubsteps:
         assert len(traj.substeps) == 20
         assert np.all(traj.substeps >= 2)
         assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-6
+
+
+def weighted_torus():
+    return SymplecticSurface.torus(
+        2.0, 2.0, omega_density=expr("1+0.5*cos(2*pi*x)"),
+        potential=(expr("0"), expr("x+sin(2*pi*x)/(4*pi)")),
+    )
+
+
+def kernel_point(surface):
+    n = 64
+    if surface.kind == "torus":
+        loop = project_to_bs(Loop.ellipse(0.7, 0.5, center=(1.0, 1.0), n=n, angle=0.3), surface)
+    else:
+        loop = project_to_bs(Loop.ellipse(1.3, 0.8, center=(0.2, -0.1), n=n, angle=0.4), surface)
+    return ModuliPoint(surface, loop, HalfDensity.cosine_profile(n, 0.3, 2))
+
+
+def oracle_stage(f, tau, p):
+    """The stage velocity through the moduli objects: dual of dF_f, then its normal displacement."""
+    h_field = hamiltonian_field_H(InducedObservable(f, scale=tau), p)
+    return _normal_displacement(p, h_field.fvec), h_field.tvec
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestStageKernel:
+    @pytest.mark.parametrize("surface_kind", ["plane", "torus"])
+    @pytest.mark.parametrize("tau", [1.0, 2.5])
+    @pytest.mark.parametrize("text", ["x^2+y^2", "x*y+0.3*x^2", "sin(pi*x)*cos(pi*y)"])
+    def test_matches_object_oracle(self, plane, surface_kind, tau, text):
+        surface = plane if surface_kind == "plane" else weighted_torus()
+        p = kernel_point(surface)
+        f = expr(text)
+        nu, t1, u = dynamics._stage_velocity(f, tau, surface, p.loop.points, p.theta.values)
+        nu_ref, t1_ref = oracle_stage(f, tau, p)
+        assert relative_gap(nu, nu_ref) <= 1e-13
+        assert relative_gap(t1, t1_ref) <= 1e-13
+        assert relative_gap(u, tangential_hamiltonian_coefficient(f, p)) <= 1e-13
+
+    def test_two_spectral_derivatives_per_stage(self, plane, monkeypatch):
+        calls = []
+        derivative = dynamics.loop_derivative
+
+        def counted(u):
+            calls.append(np.shape(u))
+            return derivative(u)
+
+        monkeypatch.setattr(dynamics, "loop_derivative", counted)
+        p = kernel_point(plane)
+        dynamics._stage_velocity(expr("x*y"), 1.0, plane, p.loop.points, p.theta.values)
+        assert calls == [(64, 2), (64, 2)]
+
+    @pytest.mark.parametrize("surface_kind", ["plane", "torus"])
+    def test_one_step_shares_its_first_action_integral(self, plane, surface_kind, monkeypatch):
+        # the flow's level defect and the projection's first pass use one integral
+        surface = plane if surface_kind == "plane" else weighted_torus()
+        p0 = kernel_point(surface)
+        calls = []
+        action = loops.action_integral
+
+        def counted(loop, surf):
+            calls.append(loop)
+            return action(loop, surf)
+
+        monkeypatch.setattr(loops, "action_integral", counted)
+        traj = flow_moduli(expr("x*y+0.3*x^2"), p0, 0.005, 0.005)
+        in_step = len(calls)
+        raw = calls[0]
+        calls.clear()
+        project_to_bs(raw, surface)
+        passes = len(calls) - 1
+        assert passes >= 1
+        assert in_step == 1 + passes
+        assert traj.bs_defects[1] == abs(bs_defect(raw, surface))
+
+    @pytest.mark.parametrize("case,error,message", [
+        ("gap", DegenerateLoop, "consecutive loop samples closer than 1e-12"),
+        ("tangent", DegenerateLoop, "collapsed loop segment"),
+        ("density", ValueError, "omega density must be positive"),
+        ("pairing", SingularPairing, "pairing min |theta0| 0.000e+00"),
+    ])
+    def test_guards_raise_as_the_objects_did(self, plane, case, error, message):
+        n = 64
+        s = np.arange(n) / n
+        f = expr("x*y")
+        theta = HalfDensity.cosine_profile(n).values
+        surface = plane
+        pts = Loop.ellipse(1.3, 0.8, center=(0.2, -0.1), n=n).points.copy()
+        if case == "gap":
+            pts[1] = pts[0]
+        elif case == "tangent":
+            pts = np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s) ** 3], axis=1)
+        elif case == "density":
+            surface = SymplecticSurface.plane(omega_density=expr("x"))
+        else:
+            theta = 1.0 + np.cos(2 * np.pi * s)
+
+        with pytest.raises(error) as expected:
+            p = ModuliPoint(surface, Loop(pts), HalfDensity(theta), strict=False)
+            oracle_stage(f, 1.0, p)
+        with pytest.raises(error) as got:
+            dynamics._stage_velocity(f, 1.0, surface, pts, theta)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert message in str(got.value)
+
+    def test_flow_with_a_zero_of_the_density_raises_singular_pairing(self, plane):
+        n = 64
+        s = np.arange(n) / n
+        theta = HalfDensity(1.0 + np.cos(2 * np.pi * s)).normalized()
+        assert np.min(np.abs(theta.values)) == 0.0
+        p0 = ModuliPoint(plane, project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane), theta)
+        with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| 0\.000e\+00"):
+            flow_moduli(expr("x*y"), p0, 0.01, 0.005)

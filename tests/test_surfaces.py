@@ -280,6 +280,19 @@ class TestScalarField:
         assert np.max(np.abs(f(xs + 2.0, ys) - f(xs, ys))) < 1e-12
         assert np.max(np.abs(f(xs, ys + 1.0) - f(xs, ys))) < 1e-12
 
+    @pytest.mark.parametrize("text", ["x", "y", "3", "x^2*y"])
+    def test_values_and_gradient_broadcast_against_both_arguments(self, text):
+        f = expr(text)
+        xs = np.arange(3.0)
+        for x, y in ((0.5, xs), (xs, 0.5)):
+            value = f(x, y)
+            gx, gy = f.grad(x, y)
+            assert value.shape == gx.shape == gy.shape == (3,)
+            full = np.broadcast_arrays(x, y)
+            assert np.array_equal(value, f(*full))
+            assert np.array_equal(gx, f.grad(*full)[0])
+            assert np.array_equal(gy, f.grad(*full)[1])
+
     def test_field_algebra(self, rng):
         f = expr("x + y")
         g = expr("x*y")

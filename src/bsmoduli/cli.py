@@ -44,6 +44,7 @@ expressions is then required for holonomy work).
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -407,6 +408,18 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
     return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_NUMERIC
 
 
+def _is_finite_pair(value):
+    """Whether a config value is a JSON list of two finite numbers."""
+    try:
+        return (
+            isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, bool) for v in value)
+            and all(math.isfinite(v) for v in value)
+        )
+    except (TypeError, OverflowError):
+        return False
+
+
 def cmd_flow(config, out_dir, seed, tolerance):
     mode = config.get("mode", "classical")
     surface = build_surface(config.get("surface"))
@@ -415,6 +428,8 @@ def cmd_flow(config, out_dir, seed, tolerance):
     step = float(config.get("step", 1e-3))
     if mode == "classical":
         p0 = config.get("initial", [1.0, 0.0])
+        if not _is_finite_pair(p0):
+            raise ConfigError(f"initial must be two finite numbers [x, y], got {p0!r}")
         traj = flow_classical(f, surface, p0, t_final, step)
         rows = [
             {"t": float(t), "x": float(p[0]), "y": float(p[1]), "f": float(v)}

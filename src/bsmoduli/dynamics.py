@@ -33,6 +33,7 @@ from .loops import (
 )
 from .moduli import ModuliPoint, _require_pointwise_dual
 from .observables import _field_and_scale, evaluate_F
+from .surfaces import _field_and_density
 from .surfaces import hamiltonian_vector_field as classical_field
 from .surfaces import tangential_coefficient
 
@@ -46,6 +47,7 @@ NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
 _FD_EPS = 1e-7
 _STENCIL = np.array([[0.0, 0.0], [_FD_EPS, 0.0], [-_FD_EPS, 0.0], [0.0, _FD_EPS], [0.0, -_FD_EPS]])
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -61,42 +63,49 @@ class ClassicalTrajectory:
 def _implicit_midpoint_step(f, surface, p, h):
     """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with a central-difference Jacobian.
 
-    Each pass makes one field call, on the midpoint and its four stencil
-    points; the last pass only tests the residual.
+    p is a point (2,) or an (M, 2) batch, solved together: each pass makes one
+    field call, on the midpoints and their four stencil points each, and the
+    batch has converged once its largest residual is below NEWTON_TOL; the
+    last pass only tests the residual.
     """
-    p = np.asarray(p, dtype=float)
     p_new = p + h * classical_field(f, surface, p)
     for it in range(NEWTON_MAX_ITER + 1):
-        xs = classical_field(f, surface, 0.5 * (p + p_new) + _STENCIL)
-        res = p_new - p - h * xs[0]
-        err = np.max(np.abs(res))
+        xs = classical_field(f, surface, 0.5 * (p + p_new)[..., None, :] + _STENCIL)
+        res = p_new - p - h * xs[..., 0, :]
+        err = np.abs(res).max()
         if err < NEWTON_TOL:
             return p_new
         if it == NEWTON_MAX_ITER:
             raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
-        jac = np.eye(2) - 0.5 * h * ((xs[1::2] - xs[2::2]).T / (2 * _FD_EPS))
+        diff = xs[..., 1::2, :] - xs[..., 2::2, :]
+        jac = _EYE2 - 0.5 * h * (diff.swapaxes(-1, -2) / (2 * _FD_EPS))
         try:
-            delta = np.linalg.solve(jac, -res)
+            delta = np.linalg.solve(jac, -res[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Newton system in implicit midpoint") from exc
-        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e6:
+        if not np.abs(delta).max() <= 1e6:  # also true for a NaN or an inf
             raise NewtonDivergence("implicit midpoint Newton step diverged")
         p_new = p_new + delta
 
 
 def flow_classical(f, surface, p0, t_final, h):
-    """Implicit-midpoint Hamiltonian flow of f from p0.
+    """Implicit-midpoint Hamiltonian flow of f from p0, a point (2,) or an (M, 2) batch.
 
-    Negative h integrates backwards.  Torus coordinates are kept on the lift
-    internally (the fields are periodic) and wrapped in the output.  A Newton
-    failure raises NewtonDivergence naming the step and time.
+    A batch runs as one Newton solve per step, so its points are
+    ``points[step, m]``.  Negative h integrates backwards.  Torus coordinates
+    are kept on the lift internally (the fields are periodic) and wrapped in
+    the output.  A Newton failure raises NewtonDivergence naming the step and
+    time.
     """
     if h == 0:
         raise ValueError("step must be nonzero")
+    p0 = np.asarray(p0, dtype=float)
+    if p0.ndim not in (1, 2) or p0.shape[-1] != 2:
+        raise ValueError(f"initial point must have shape (2,) or (M, 2), got {p0.shape}")
     steps = int(round(abs(t_final) / abs(h)))
     times = np.arange(steps + 1) * h
-    pts = np.empty((steps + 1, 2))
-    pts[0] = np.asarray(p0, dtype=float)
+    pts = np.empty((steps + 1,) + p0.shape)
+    pts[0] = p0
     for i in range(steps):
         try:
             pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h)
@@ -106,7 +115,7 @@ def flow_classical(f, surface, p0, t_final, h):
                 f"(t = {float(times[i + 1])!r}): {exc}"
             ) from exc
     out = surface.wrap(pts)
-    vals = np.asarray(f(out[:, 0], out[:, 1]), dtype=float)
+    vals = np.asarray(f(out[..., 0], out[..., 1]), dtype=float)
     return ClassicalTrajectory(times=times, points=out, values=vals)
 
 
@@ -137,13 +146,15 @@ def _stage_velocity(field, tau, surface, points, theta):
     normal displacement of its function part.  The function part does not
     depend on (u theta^2)', so both derivatives run as one call on an (N, 2)
     stack: two spectral derivative calls per stage, the tangent included.
-    The guards (gap floor, density positivity, tangent floor, pairing floor)
-    are the helpers Loop, hamiltonian_vector_field, tangential_coefficient and
-    sharp run.
+    The density is evaluated once, for the Hamiltonian field and the normal
+    displacement.  The guards (gap floor, density positivity, tangent floor,
+    pairing floor) are the helpers Loop, hamiltonian_vector_field,
+    tangential_coefficient and sharp run.
     """
     _require_gaps(points)
     tan = loop_derivative(points)
-    u = tangential_coefficient(classical_field(field, surface, points), tan)
+    xf, w = _field_and_density(field, surface, points)
+    u = tangential_coefficient(xf, tan)
     _require_pointwise_dual(theta)
     th2 = theta**2
     x, y = points[:, 0], points[:, 1]
@@ -153,7 +164,7 @@ def _stage_velocity(field, tau, surface, points, theta):
     derivs = loop_derivative(np.stack([u * th2, f1], axis=1))
     raw_t = -(tau * -derivs[:, 0]) / theta
     t1 = raw_t - integrate_density(theta * raw_t) / vol * theta
-    coeff = derivs[:, 1] / (np.asarray(surface.density(x, y)) * np.sum(tan * tan, axis=1))
+    coeff = derivs[:, 1] / (w * np.sum(tan * tan, axis=1))
     nu = coeff[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=1)
     return nu, t1, u
 

@@ -228,13 +228,28 @@ class CompatibleStructure:
         return self.surface.density(x, y) * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
-def hamiltonian_vector_field(f, surface, p):
-    """X_f = (f_y / w, -f_x / w) at p; p may be a single point or an (N, 2) array."""
+def _field_and_density(f, surface, p):
+    """X_f at p and the density w it was divided by; w is 1.0 on a unit-density surface.
+
+    The gradient trees are evaluated straight into one output array; dividing
+    by a unit density would be the identity, so it is skipped.
+    """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    gx, gy = f.grad(x, y)
+    out = np.empty(p.shape)
+    out[..., 1] = ex.evaluate(f._dx, x, y)
+    np.negative(out[..., 1], out=out[..., 1])
+    out[..., 0] = ex.evaluate(f._dy, x, y)
+    if surface.omega_density is None:
+        return out, 1.0
     w = surface.density(x, y)
-    return np.stack([np.asarray(gy) / w, -np.asarray(gx) / w], axis=-1)
+    out /= w[..., None]
+    return out, w
+
+
+def hamiltonian_vector_field(f, surface, p):
+    """X_f = (f_y / w, -f_x / w) at p: a point (2,) or any (..., 2) stack of points."""
+    return _field_and_density(f, surface, p)[0]
 
 
 def poisson_bracket(f, g, surface, p):

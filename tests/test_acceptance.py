@@ -371,3 +371,60 @@ def test_criterion_11_spectral_convergence():
     assert band_limited <= floor
     assert deriv_super
     assert quad_super
+
+
+def test_criterion_12_cross_level_pushforward():
+    # sigma = -1 and the factor 2 as dynamics: the moduli flow of F_f to time t
+    # carries (loop, theta^2 ds) to its pushforward under the classical flow of
+    # f to time -2t, so F_g(moduli state) = <g(phi_{-2t}(gamma0)) theta0^2>
+    n, t = 128, 0.1
+    loop = project_to_bs(Loop.ellipse(1.3, 0.8, n=n, angle=0.4), PLANE)
+    densities = [HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 2)]
+    probes = [expr(text) for text in ("x", "y", "x^2", "x*y", "y^3", "sin(x)")]
+    moduli_steps = (5e-3, 2.5e-3, 1.25e-3)
+    classical_steps = (-4e-4, -2e-4, -2.5e-5)
+    started = time.perf_counter()
+
+    def pushed(points, theta):
+        return np.array([integrate_density(g(points[:, 0], points[:, 1]) * theta.values**2)
+                         for g in probes])
+
+    def defect(moduli_values, points, theta):
+        return float(np.max(np.abs(moduli_values - pushed(points, theta))))
+
+    finest, miss = 0.0, np.inf
+    moduli_orders, classical_orders = [], []
+    for text in ("x*y+0.3*x^2", "sin(0.9*x)+0.8*y^2"):
+        f = expr(text)
+        # one batched classical run per step serves both densities
+        pushforward = {hc: flow_classical(f, PLANE, loop.points, 2 * t, hc).final()
+                       for hc in classical_steps}
+        wrong_times = [flow_classical(f, PLANE, loop.points, 2 * t, 4e-4).final(),
+                       flow_classical(f, PLANE, loop.points, t, -4e-4).final()]
+        for theta in densities:
+            p0 = ModuliPoint(PLANE, loop, theta)
+            moduli = {}
+            for h in moduli_steps:
+                final = flow_moduli(f, p0, t, h, snapshot_every=round(t / h)).final()
+                moduli[h] = np.array([evaluate_F(g, final) for g in probes])
+            fine_h, fine_hc = moduli_steps[-1], classical_steps[-1]
+            finest = max(finest, defect(moduli[fine_h], pushforward[fine_hc], theta))
+            moduli_orders.append(np.log2(
+                defect(moduli[moduli_steps[0]], pushforward[fine_hc], theta)
+                / defect(moduli[moduli_steps[1]], pushforward[fine_hc], theta)))
+            classical_orders.append(np.log2(
+                defect(moduli[fine_h], pushforward[classical_steps[0]], theta)
+                / defect(moduli[fine_h], pushforward[classical_steps[1]], theta)))
+            miss = min([miss] + [defect(moduli[fine_h], pts, theta) for pts in wrong_times])
+    elapsed = time.perf_counter() - started
+    moduli_order, classical_order = min(moduli_orders), min(classical_orders)
+
+    ok = finest <= 1e-9 and moduli_order >= 3.5 and classical_order >= 1.8 and miss >= 1e-2
+    report(12, ok, f"pushforward defect {finest:.2e} <= 1e-9 (moduli h=1.25e-3, classical "
+                   f"h=-2.5e-5, N=128, 2 fields x 2 densities); moduli order {moduli_order:.2f} "
+                   f">= 3.5, classical order {classical_order:.2f} >= 1.8; +2t and -t candidates "
+                   f"miss by {miss:.3f} >= 1e-2 ({elapsed:.1f}s)")
+    assert finest <= 1e-9
+    assert moduli_order >= 3.5
+    assert classical_order >= 1.8
+    assert miss >= 1e-2

@@ -181,6 +181,21 @@ class TestExitCodes:
         assert "failed to converge" in err
         assert not (tmp_path / "flow_classical.csv").exists()
 
+    @pytest.mark.parametrize("initial", [
+        [[1.0, 0.0], [0.0, 1.0]], [1.0], [1.0, float("nan")], [True, 0.0], "1,0", [1.0, None],
+    ])
+    def test_classical_initial_must_be_two_finite_numbers(
+        self, tmp_path, monkeypatch, capsys, initial
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "flow_classical", lambda *args: calls.append(args))
+        cfg = {"mode": "classical", "field": "x*y", "initial": initial,
+               "t_final": 0.1, "step": 0.01}
+        assert run("flow", cfg, tmp_path) == EXIT_CONFIG
+        assert "initial must be two finite numbers" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "flow_classical.csv").exists()
+
     def test_diverging_moduli_flow_is_numeric_exit(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
         cfg.update(field="x^4+y^4", step=0.5, t_final=20.0)

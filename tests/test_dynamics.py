@@ -96,6 +96,85 @@ class TestClassicalFlow:
         with pytest.raises(ValueError):
             flow_classical(expr("x"), plane, (0.0, 0.0), 1.0, 0.0)
 
+    @pytest.mark.parametrize("p0", [(1.0, 0.0, 0.0), np.zeros((2, 2, 2)), 1.0])
+    def test_initial_shape_rejected(self, plane, p0):
+        with pytest.raises(ValueError, match=r"shape \(2,\) or \(M, 2\)"):
+            flow_classical(expr("x"), plane, p0, 1.0, 1e-2)
+
+
+def ellipse_samples(plane, n=32):
+    return project_to_bs(Loop.ellipse(1.3, 0.8, n=n, angle=0.4), plane).points
+
+
+def per_point_flows(f, surface, samples, t_final, h):
+    flows = [flow_classical(f, surface, q, t_final, h) for q in samples]
+    return np.stack([tr.points for tr in flows], axis=1), np.stack([tr.values for tr in flows], axis=1)
+
+
+class TestBatchedClassicalFlow:
+    def test_batch_is_bitwise_the_per_point_flows(self, plane):
+        f = expr("x*y+0.3*x^2")
+        samples = ellipse_samples(plane)
+        traj = flow_classical(f, plane, samples, 0.04, -4e-4)
+        points, values = per_point_flows(f, plane, samples, 0.04, -4e-4)
+        assert traj.points.shape == (101, 32, 2) and traj.values.shape == (101, 32)
+        assert np.array_equal(traj.times, np.arange(101) * -4e-4)
+        assert traj.points.tobytes() == points.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("case", ["plane", "torus", "weighted torus"])
+    def test_batch_matches_the_per_point_flows(self, plane, case):
+        samples = ellipse_samples(plane)
+        if case == "plane":
+            f, surface = expr("sin(0.9*x)+0.8*y^2"), plane
+            bound = 5e-15
+        elif case == "torus":
+            f, surface = expr("sin(x)+cos(y)"), SymplecticSurface.torus(2 * np.pi, 2 * np.pi)
+            samples = samples + 3.0
+            bound = 5e-15
+        else:
+            # a batch runs Newton until its slowest point converges, so the
+            # others take extra passes: each step may move by up to ~NEWTON_TOL
+            f, surface = expr("sin(pi*x)*cos(pi*y)"), weighted_torus()
+            samples = 0.3 * samples + 1.0
+            bound = 100 * dynamics.NEWTON_TOL
+        traj = flow_classical(f, surface, samples, 0.04, -4e-4)
+        points, values = per_point_flows(f, surface, samples, 0.04, -4e-4)
+        assert np.max(np.abs(traj.points - points)) <= bound
+        assert np.max(np.abs(traj.values - values)) <= bound
+
+    def test_one_field_call_per_newton_pass_on_the_stack(self, plane, monkeypatch):
+        # per step: the predictor on (M, 2), then one (M, 5, 2) call per pass;
+        # every pass but the converged last one makes one (M, 2, 2) solve
+        shapes, solves = [], []
+        field, solve = dynamics.classical_field, np.linalg.solve
+
+        def counted_field(f, surface, p):
+            shapes.append(np.shape(p))
+            return field(f, surface, p)
+
+        def counted_solve(a, b):
+            solves.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(dynamics, "classical_field", counted_field)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        samples = ellipse_samples(plane, n=16)
+        flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
+        assert shapes.count((16, 2)) == 10
+        assert shapes.count((16, 5, 2)) == len(solves) + 10
+        assert len(shapes) == len(solves) + 20
+        assert set(solves) == {((16, 2, 2), (16, 2, 1))}
+
+    @pytest.mark.parametrize("bad", ["diverging", "nan"])
+    def test_one_bad_member_fails_the_batch_naming_the_step(self, plane, bad):
+        if bad == "diverging":
+            f, samples, t_final, h = expr("(x^2+y^2)^3"), [[0.1, 0.0], [5.0, 0.0]], 100.0, 100.0
+        else:
+            f, samples, t_final, h = expr("x*y"), [[0.1, 0.0], [np.nan, 0.0]], 0.1, 1e-2
+        with pytest.raises(NewtonDivergence, match=r"failed in step 1 of \d+ \(t = "):
+            flow_classical(f, plane, samples, t_final, h)
+
 
 def gentle_point(plane, n=64):
     loop = project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane)
@@ -270,6 +349,20 @@ class TestStageKernel:
         p = kernel_point(plane)
         dynamics._stage_velocity(expr("x*y"), 1.0, plane, p.loop.points, p.theta.values)
         assert calls == [(64, 2), (64, 2)]
+
+    def test_one_density_evaluation_per_stage(self, monkeypatch):
+        surface = weighted_torus()
+        p = kernel_point(surface)
+        calls = []
+        density = surface.density
+
+        def counted(x, y):
+            calls.append(np.shape(x))
+            return density(x, y)
+
+        monkeypatch.setattr(surface, "density", counted)
+        dynamics._stage_velocity(expr("x*y+0.3*x^2"), 2.5, surface, p.loop.points, p.theta.values)
+        assert calls == [(64,)]
 
     @pytest.mark.parametrize("surface_kind", ["plane", "torus"])
     def test_one_step_shares_its_first_action_integral(self, plane, surface_kind, monkeypatch):

@@ -68,6 +68,61 @@ class TestHamiltonianField:
         assert np.allclose(batch, single, atol=1e-15)
 
 
+def stacked_field_oracle(f, surface, p):
+    """X_f as the gradient pair stacked and divided by the sampled density, w = 1 included."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    gx, gy = f.grad(x, y)
+    w = surface.density(x, y)
+    return np.stack([np.asarray(gy) / w, -np.asarray(gx) / w], axis=-1)
+
+
+VECTOR_FIELD_SURFACES = {
+    "plane": lambda: SymplecticSurface.plane(),
+    "unit torus": lambda: SymplecticSurface.torus(2 * np.pi, 2 * np.pi),
+    "weighted torus": lambda: SymplecticSurface.torus(
+        2.0, 2.0, omega_density=expr("1+0.5*cos(2*pi*x)"),
+        potential=(expr("0"), expr("x+sin(2*pi*x)/(4*pi)")),
+    ),
+}
+VECTOR_FIELD_POINTS = {
+    "point": np.array([0.3, -0.7]),
+    "signed zeros": np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]),
+    "N x 2": np.random.default_rng(7).normal(size=(17, 2)),
+    "M x 5 x 2": np.random.default_rng(8).normal(size=(3, 5, 2)),
+}
+
+
+class TestVectorFieldBits:
+    @pytest.mark.parametrize("surface_name", list(VECTOR_FIELD_SURFACES))
+    @pytest.mark.parametrize("points", list(VECTOR_FIELD_POINTS))
+    @pytest.mark.parametrize("text", ["x", "-y", "3", "x*y+0.3*x^2"])
+    def test_bitwise_equal_to_stacked_oracle(self, surface_name, points, text):
+        surface = VECTOR_FIELD_SURFACES[surface_name]()
+        p = VECTOR_FIELD_POINTS[points]
+        f = expr(text)
+        got = hamiltonian_vector_field(f, surface, p)
+        want = stacked_field_oracle(f, surface, p)
+        assert got.shape == want.shape == p.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # signs of zero included
+
+    def test_signs_of_zero(self, plane):
+        # X_x = (0, -1) and X_{-y} = (-1, -0): the negated component keeps its sign
+        assert np.signbit(hamiltonian_vector_field(expr("3"), plane, (0.0, 0.0))).tolist() == [
+            False, True,
+        ]
+        assert np.signbit(hamiltonian_vector_field(expr("-y"), plane, (0.0, 0.0))).tolist() == [
+            True, True,
+        ]
+
+    @pytest.mark.parametrize("p", [(-0.5, 0.0), [[0.5, 0.0], [0.0, 1.0]]])
+    def test_nonpositive_density_still_rejected(self, p):
+        surface = SymplecticSurface.plane(omega_density=expr("x"))
+        with pytest.raises(ValueError, match="omega density must be positive"):
+            hamiltonian_vector_field(expr("x*y"), surface, p)
+
+
 class TestPoissonBracket:
     def test_canonical_pair(self, plane, rng):
         f, g = expr("x"), expr("y")

@@ -271,6 +271,11 @@ def density_label(spec, index):
 
 
 def cmd_bracket_check(config, out_dir, seed, tolerance):
+    if "scale" in config:
+        raise ConfigError(
+            'bracket-check no longer takes "scale": scale the field expressions '
+            'instead, e.g. "2*x" for x'
+        )
     workers = max_workers()
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-6)
     counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 512)])]
@@ -278,7 +283,6 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
     pairs = config.get("pairs", [])
     loop_specs = config.get("loops", [])
     density_specs = config.get("densities", [{"type": "uniform"}])
-    scale = float(config.get("scale", 1.0))
 
     field_pairs = _build_field_pairs(pairs)
 
@@ -303,8 +307,6 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
                 )
         out = []
         for (fs, gs), rep in zip(pairs, bracket_reports(field_pairs, point, om=om)):
-            for key in ("matrix", "closed_form", "target"):
-                rep[key] *= scale * scale
             out.append(
                 {
                     "f": fs,
@@ -485,13 +487,15 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
     spec = config.get("loop", {"type": "circle", "radius": 1.0})
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
     values = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["count"]))
+    circle = spec.get("type") == "circle"
+    if not circle:
+        base = build_loop(spec, n, surface)
+        center = base.points.mean(axis=0)
     rows = []
     for r in values:
-        if spec.get("type") == "circle":
+        if circle:
             loop = Loop.circle(r, center=tuple(spec.get("center", (0.0, 0.0))), n=n)
         else:
-            base = build_loop(spec, n, surface)
-            center = base.points.mean(axis=0)
             loop = Loop(center + r * (base.points - center), winding=base.winding)
         action = action_integral(loop, surface)
         defect = bs_defect(loop, surface)

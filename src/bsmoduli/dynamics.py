@@ -32,7 +32,7 @@ from .loops import (
     loop_derivative,
 )
 from .moduli import ModuliPoint, _require_pointwise_dual
-from .observables import _field_and_scale, evaluate_F
+from .observables import evaluate_F
 from .surfaces import _field_and_density
 from .surfaces import hamiltonian_vector_field as classical_field
 from .surfaces import tangential_coefficient
@@ -137,12 +137,12 @@ def _loop_checksum(points, theta):
     return zlib.crc32(points.tobytes() + theta.tobytes())
 
 
-def _stage_velocity(field, tau, surface, points, theta):
-    """RK4 stage velocity (nu, t1) of the flow of tau * F_field, plus the tangential coefficient u.
+def _stage_velocity(field, surface, points, theta):
+    """RK4 stage velocity (nu, t1) of the flow of F_field, plus the tangential coefficient u.
 
     The array form of ``_normal_displacement`` applied to ``hamiltonian_field_H``,
     with the same operations in the same order: the Riesz weights
-    (-tau (u theta^2)', tau 2 f theta) of dF, their pointwise dual, and the
+    (-(u theta^2)', 2 f theta) of dF, their pointwise dual, and the
     normal displacement of its function part.  The function part does not
     depend on (u theta^2)', so both derivatives run as one call on an (N, 2)
     stack: two spectral derivative calls per stage, the tangent included.
@@ -158,11 +158,11 @@ def _stage_velocity(field, tau, surface, points, theta):
     _require_pointwise_dual(theta)
     th2 = theta**2
     x, y = points[:, 0], points[:, 1]
-    raw_f = tau * (2.0 * np.asarray(field(x, y), dtype=float) * theta) / theta
+    raw_f = (2.0 * np.asarray(field(x, y), dtype=float) * theta) / theta
     vol = integrate_density(th2)
     f1 = raw_f - integrate_density(raw_f * th2) / vol
     derivs = loop_derivative(np.stack([u * th2, f1], axis=1))
-    raw_t = -(tau * -derivs[:, 0]) / theta
+    raw_t = derivs[:, 0] / theta
     t1 = raw_t - integrate_density(theta * raw_t) / vol * theta
     coeff = derivs[:, 1] / (w * np.sum(tan * tan, axis=1))
     nu = coeff[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=1)
@@ -173,7 +173,7 @@ def _all_finite(*arrays):
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def _rk4_step(field, tau, surface, pts, th, h, k1):
+def _rk4_step(field, surface, pts, th, h, k1):
     """One classical RK4 step from its first-stage velocity k1; None once a stage state is not finite."""
     kp, kt = k1
     sum_p, sum_t = kp.copy(), kt.copy()
@@ -181,7 +181,7 @@ def _rk4_step(field, tau, surface, pts, th, h, k1):
         stage_p, stage_t = pts + c * h * kp, th + c * h * kt
         if not _all_finite(stage_p, stage_t):
             return None
-        kp, kt, _ = _stage_velocity(field, tau, surface, stage_p, stage_t)
+        kp, kt, _ = _stage_velocity(field, surface, stage_p, stage_t)
         sum_p += weight * kp
         sum_t += weight * kt
     return pts + (h / 6.0) * sum_p, th + (h / 6.0) * sum_t
@@ -192,18 +192,20 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
 
     Each requested step of length h runs as ``substeps[i]`` equal RK4
     substeps, m = max(1, ceil(z / RK4_STABLE_Z)) with
-    z = |h| * 2 pi (N/2 - 1) * 2 max|tau u_f|: the normal-displacement flow
-    advects the loop at speed 2 tau u_f, so Fourier mode k has eigenvalue
-    i 2 pi k 2 tau u_f, and the fastest resolved mode is k = N/2 - 1 (the
+    z = |h| * 2 pi (N/2 - 1) * 2 max|u_f|: the normal-displacement flow
+    advects the loop at speed 2 u_f, so Fourier mode k has eigenvalue
+    i 2 pi k 2 u_f, and the fastest resolved mode is k = N/2 - 1 (the
     Nyquist mode has zero spectral derivative).  u_f comes from the first
     stage of the step.  Records per step: time, F_f, pre-renormalization
     volume defect, pre-projection level defect, and a CRC32 state checksum.
     Snapshots of the full state are kept every ``snapshot_every`` steps when
-    positive.  A state that stops being finite raises GeometryError naming
-    the step and time.
+    positive.  Each step runs under ``np.errstate(all="ignore")``; a state or
+    a volume that stops being finite raises GeometryError, and every
+    GeometryError of a step (SingularPairing, DegenerateLoop, AreaTooSmall
+    and the like) is re-raised as its own type with a message naming the
+    step, its time, its RK4 substep count and the cause.
     """
     surface = p0.surface
-    field, tau = _field_and_scale(f)
     steps = int(round(t_final / h))
     pts = p0.loop.points
     th = p0.theta.values
@@ -224,27 +226,33 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
         snapshots.append((0.0, current))
 
     for i in range(steps):
-        with np.errstate(all="ignore"):
-            nu, t1, u = _stage_velocity(field, tau, surface, pts, th)
-        z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.max(np.abs(tau * u)))
-        m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
-        for j in range(m):
+        m = 0
+        try:
             with np.errstate(all="ignore"):
-                if j:
-                    nu, t1, _ = _stage_velocity(field, tau, surface, pts, th)
-                state = _rk4_step(field, tau, surface, pts, th, h / m, (nu, t1))
-            if state is None or not _all_finite(*state):
-                raise GeometryError(
-                    f"moduli flow diverged in step {i + 1} of {steps} "
-                    f"(t = {float(times[i + 1])!r}, {m} RK4 substeps): state is not finite"
-                )
-            pts, th = state
-
-        raw_theta = HalfDensity(th)
-        vol_defects[i + 1] = abs(raw_theta.volume() - 1.0)
-        defect, loop = _defect_and_projection(Loop(pts, winding=winding), surface)
+                nu, t1, u = _stage_velocity(f, surface, pts, th)
+                z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.max(np.abs(u)))
+                m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
+                for j in range(m):
+                    if j:
+                        nu, t1, _ = _stage_velocity(f, surface, pts, th)
+                    state = _rk4_step(f, surface, pts, th, h / m, (nu, t1))
+                    if state is None or not _all_finite(*state):
+                        raise GeometryError("diverged, state is not finite")
+                    pts, th = state
+                raw_theta = HalfDensity(th)
+                volume = raw_theta.volume()
+                if not math.isfinite(volume):
+                    raise GeometryError("diverged, state is not finite")
+                defect, loop = _defect_and_projection(Loop(pts, winding=winding), surface)
+                theta = raw_theta.normalized()
+        except GeometryError as exc:
+            where = f"{m} RK4 substeps" if m else "first RK4 stage"
+            raise type(exc)(
+                f"moduli flow failed in step {i + 1} of {steps} "
+                f"(t = {float(times[i + 1])!r}, {where}): {exc}"
+            ) from exc
+        vol_defects[i + 1] = abs(volume - 1.0)
         level_defects[i + 1] = abs(defect)
-        theta = raw_theta.normalized()
         pts, th = loop.points, theta.values
 
         current = ModuliPoint(surface, loop, theta, strict=False)

@@ -253,15 +253,8 @@ class OmegaMatrix:
         return TangentVector(self.f_basis @ xf, self.t_basis @ xt)
 
     def covector_coefficients(self, ell):
-        """Values of a linear functional on the basis columns."""
-        if isinstance(ell, Covector):
-            lf = self.f_basis.T @ ell.fweight / self.n
-            lt = self.t_basis.T @ ell.tweight / self.n
-            return lf, lt
-        m = self.k_block.shape[0]
-        lf = np.array([ell(TangentVector(self.f_basis[:, j], np.zeros(self.n))) for j in range(m)])
-        lt = np.array([ell(TangentVector(np.zeros(self.n), self.t_basis[:, j])) for j in range(m)])
-        return lf, lt
+        """Values of a Covector on the basis columns."""
+        return self.f_basis.T @ ell.fweight / self.n, self.t_basis.T @ ell.tweight / self.n
 
 
 def omega_matrix(p):
@@ -277,24 +270,22 @@ def _require_pointwise_dual(th):
 
 
 def sharp(p, ell, om=None):
-    """The constrained tangent v with omega(p, v, .) = ell(.).
+    """The constrained tangent v with omega(p, v, .) = ell(.) for a Covector ell.
 
-    Without ``om``, a ``Covector`` is dualized pointwise in O(N): since
+    Without ``om``, ell is dualized pointwise in O(N): since
     flat(v) = (-t1 theta0, f1 theta0) and covector weights matter only up to
     multiples of theta0^2 (function part) and theta0 (density part), v is the
     constrained projection of (tweight/theta0, -fweight/theta0).
 
-    With ``om`` given, or for a callable ``ell``, the skew block system of the
-    pairing matrix is solved densely; that route is the independent oracle.
-    Raises SingularPairing when the pairing is numerically degenerate
-    (theta0 with near-zeros on the grid).
+    With ``om`` given, the skew block system of the pairing matrix is solved
+    densely; that route is the independent oracle.  Raises SingularPairing
+    when the pairing is numerically degenerate (theta0 with near-zeros on the
+    grid).
     """
-    if om is None and isinstance(ell, Covector):
+    if om is None:
         th = p.theta.values
         _require_pointwise_dual(th)
         return project_tangent(ell.tweight / th, -ell.fweight / th, p)
-    if om is None:
-        om = omega_matrix(p)
     lf, lt = om.covector_coefficients(ell)
     xf, xt = dense_sharp(om, lf[:, None], lt[:, None])
     return om.from_coordinates(xf[:, 0], xt[:, 0])

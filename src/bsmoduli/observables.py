@@ -2,10 +2,12 @@
 
 A scalar field f on the surface induces the function
 
-    F_f(loop, theta) = tau * < f(gamma(s)) * theta(s)^2 >
+    F_f(loop, theta) = < f(gamma(s)) * theta(s)^2 >
 
-on the moduli space (tau an optional overall scale).  Its differential
-splits into a weight part and a loop part,
+on the moduli space.  F_f is linear in f, so a scaled observable c * F_f is
+the observable of the field c * f, and a ``ScalarField`` is the whole
+representation of an observable.  Its differential splits into a weight
+part and a loop part,
 
     dF_f(v) = 2 * <f theta0 theta1>  +  <f1' * u_f * theta0^2>,
 
@@ -49,35 +51,15 @@ BRACKET_SIGN = -1.0
 BRACKET_METHODS = ("matrix", "closed_form", "target")
 
 
-class InducedObservable:
-    """A surface field together with the overall scale of its induced function."""
-
-    def __init__(self, field, scale=1.0):
-        if scale <= 0:
-            raise ValueError("observable scale must be positive")
-        self.field = field
-        self.scale = float(scale)
-
-    def __call__(self, p):
-        return evaluate_F(self, p)
-
-
-def _field_and_scale(obs):
-    if isinstance(obs, InducedObservable):
-        return obs.field, obs.scale
-    return obs, 1.0
-
-
 def restricted_values(f, p):
     """Values of the surface field along the loop samples."""
     pts = p.loop.points
     return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
 
 
-def evaluate_F(obs, p):
-    """F_f(p) = tau * <f(gamma) theta^2>."""
-    f, tau = _field_and_scale(obs)
-    return tau * integrate_density(restricted_values(f, p) * p.theta.values**2)
+def evaluate_F(f, p):
+    """F_f(p) = <f(gamma) theta^2>."""
+    return integrate_density(restricted_values(f, p) * p.theta.values**2)
 
 
 def field_A(f, p):
@@ -86,14 +68,11 @@ def field_A(f, p):
     The weight component vanishes identically; the subtracted constant is the
     induced mean, so the result satisfies both tangent constraints.
     """
-    f, tau = _field_and_scale(f)
-    raw = tau * restricted_values(f, p)
-    return project_tangent(raw, np.zeros(p.n), p)
+    return project_tangent(restricted_values(f, p), np.zeros(p.n), p)
 
 
 def is_stationary_cycle(f, p, tol=1e-10):
     """True when f is constant along the loop (weighted variance below tol)."""
-    f, _ = _field_and_scale(f)
     vals = restricted_values(f, p)
     th2 = p.theta.values**2
     vol = integrate_density(th2)
@@ -104,8 +83,7 @@ def is_stationary_cycle(f, p, tol=1e-10):
 
 def oneform_B(f, p, v):
     """Weight-part one-form <f theta0 theta1>; kernel contains all (f1, 0)."""
-    f, tau = _field_and_scale(f)
-    return tau * integrate_density(restricted_values(f, p) * p.theta.values * v.tvec)
+    return integrate_density(restricted_values(f, p) * p.theta.values * v.tvec)
 
 
 def tangential_hamiltonian_coefficient(f, p):
@@ -116,9 +94,8 @@ def tangential_hamiltonian_coefficient(f, p):
 
 def oneform_Cstar(f, p, v):
     """Loop-part one-form <f1' * u_f * theta0^2> (depends only on v.fvec)."""
-    f, tau = _field_and_scale(f)
     u = tangential_hamiltonian_coefficient(f, p)
-    return tau * integrate_density(loop_derivative(v.fvec) * u * p.theta.values**2)
+    return integrate_density(loop_derivative(v.fvec) * u * p.theta.values**2)
 
 
 def differential_dF(f, p, v):
@@ -132,12 +109,11 @@ def differential_covector(f, p):
     The function-part weight uses integration by parts, exact for the
     spectral derivative on the periodic grid.
     """
-    f, tau = _field_and_scale(f)
     th = p.theta.values
     u = tangential_hamiltonian_coefficient(f, p)
     fw = -loop_derivative(u * th**2)
     tw = 2.0 * restricted_values(f, p) * th
-    return Covector(fweight=tau * fw, tweight=tau * tw)
+    return Covector(fweight=fw, tweight=tw)
 
 
 def hamiltonian_field_H(f, p, om=None):
@@ -174,28 +150,23 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
     """
     if method not in BRACKET_METHODS:
         raise ValueError(f"unknown bracket method {method!r}")
-    ff, tau_f = _field_and_scale(f)
-    gg, tau_g = _field_and_scale(g)
-    tau = tau_f * tau_g
     if method == "matrix":
         if om is None:
             om = omega_matrix(p)
-        hf = hamiltonian_field_H(ff, p, om=om)
-        hg = hamiltonian_field_H(gg, p, om=om)
-        return tau * omega(p, hf, hg)
+        return omega(p, hamiltonian_field_H(f, p, om=om), hamiltonian_field_H(g, p, om=om))
     if method == "closed_form":
         th2 = p.theta.values**2
         tan = p.loop.tangent()
-        fx = hamiltonian_vector_field(ff, p.surface, p.loop.points)
-        gx = hamiltonian_vector_field(gg, p.surface, p.loop.points)
+        fx = hamiltonian_vector_field(f, p.surface, p.loop.points)
+        gx = hamiltonian_vector_field(g, p.surface, p.loop.points)
         u_f = tangential_coefficient(fx, tan)
         u_g = tangential_coefficient(gx, tan)
-        df_loop = loop_derivative(restricted_values(ff, p))
-        dg_loop = loop_derivative(restricted_values(gg, p))
+        df_loop = loop_derivative(restricted_values(f, p))
+        dg_loop = loop_derivative(restricted_values(g, p))
         integrand = df_loop * u_g - dg_loop * u_f
-        return BRACKET_SIGN * tau * 2.0 * integrate_density(integrand * th2)
-    bracket_field = poisson_bracket_field(ff, gg, p.surface)
-    return BRACKET_SIGN * tau * 2.0 * evaluate_F(bracket_field, p)
+        return BRACKET_SIGN * 2.0 * integrate_density(integrand * th2)
+    bracket_field = poisson_bracket_field(f, g, p.surface)
+    return BRACKET_SIGN * 2.0 * evaluate_F(bracket_field, p)
 
 
 def _report(f, g, p, matrix_value):
@@ -223,13 +194,9 @@ def bracket_reports(pairs, p, om=None):
     (hamiltonian_fields), with each distinct field object dualized once; the
     values agree with bracket_report's to solve roundoff.
     """
-    split = [(_field_and_scale(f), _field_and_scale(g)) for f, g in pairs]
-    distinct = {id(h): h for (ff, _), (gg, _) in split for h in (ff, gg)}
+    distinct = {id(h): h for pair in pairs for h in pair}
     fields = dict(zip(distinct, hamiltonian_fields(list(distinct.values()), p, om)))
-    return [
-        _report(f, g, p, tau_f * tau_g * omega(p, fields[id(ff)], fields[id(gg)]))
-        for (f, g), ((ff, tau_f), (gg, tau_g)) in zip(pairs, split)
-    ]
+    return [_report(f, g, p, omega(p, fields[id(f)], fields[id(g)])) for f, g in pairs]
 
 
 def measure_bracket_sign(p, f=None, g=None):
@@ -297,8 +264,6 @@ def compatibility_residuals(f, g, loop, surface):
 
 def non_multiplicativity_witness(f1, f2, p):
     """(F_{f1 f2}, F_{f1} * F_{f2}) -- generically different numbers."""
-    a, tau_a = _field_and_scale(f1)
-    b, tau_b = _field_and_scale(f2)
-    product = evaluate_F(a * b, p) * tau_a * tau_b
+    product = evaluate_F(f1 * f2, p)
     separate = evaluate_F(f1, p) * evaluate_F(f2, p)
     return product, separate

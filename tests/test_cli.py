@@ -213,6 +213,43 @@ class TestExitCodes:
         assert "RuntimeWarning" not in out.stderr
         assert not (tmp_path / "flow_moduli.csv").exists()
 
+    def test_moduli_step_failure_names_the_step(self, tmp_path):
+        # a weighted-torus flow whose weight blows up: the volume overflows in step 53
+        cfg = {
+            "mode": "moduli",
+            "surface": {"kind": "torus", "periods": [2.0, 2.0],
+                        "omega_density": "1+0.5*cos(2*pi*x)",
+                        "potential": ["0", "x+sin(2*pi*x)/(4*pi)"]},
+            "field": "0.3*cos(pi*x)+0.2*sin(pi*y)",
+            "loop": {"type": "ellipse", "a": 0.7, "b": 0.5, "center": [1.0, 1.0],
+                     "angle": 0.4, "project": True},
+            "density": {"type": "cosine", "amplitude": 0.3, "harmonic": 2},
+            "n_samples": 128,
+            "t_final": 0.1,
+            "step": 1.25e-3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "bsmoduli.cli", "flow", "--config", str(path),
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == EXIT_NUMERIC
+        assert "RuntimeWarning" not in out.stderr
+        assert re.search(r"step \d+ of 80 \(t = ", out.stderr)
+        assert not (tmp_path / "flow_moduli.csv").exists()
+
+    def test_bracket_check_rejects_scale(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
+        cfg["scale"] = 2.0
+        assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert '"scale"' in err and '"2*x"' in err
+        assert not (tmp_path / "bracket_check.csv").exists()
+
 
 class TestReports:
     def test_bracket_check_default_config_passes(self, tmp_path):
@@ -269,6 +306,24 @@ class TestReports:
         for level in (1, 2, 3, 4):
             target = np.sqrt(level / np.pi)
             assert any(abs(r - target) < 0.01 for r in hits)
+
+    def test_bs_scan_builds_its_base_loop_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.build_loop
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_loop", counted)
+        cfg = {
+            "n_samples": 64,
+            "loop": {"type": "ellipse", "a": 1.3, "b": 0.8, "angle": 0.4, "project": True},
+            "radii": {"start": 0.5, "stop": 1.5, "count": 21},
+        }
+        assert run("bs-scan", cfg, tmp_path) == EXIT_OK
+        assert len(calls) == 1
+        assert len(read_rows(tmp_path / "bs_scan.csv")) == 21
 
     def test_flow_moduli_snapshots(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())

@@ -7,7 +7,6 @@ import pytest
 from bsmoduli import (
     DegenerateLoop,
     HalfDensity,
-    InducedObservable,
     Loop,
     ModuliPoint,
     NewtonDivergence,
@@ -313,9 +312,9 @@ def kernel_point(surface):
     return ModuliPoint(surface, loop, HalfDensity.cosine_profile(n, 0.3, 2))
 
 
-def oracle_stage(f, tau, p):
+def oracle_stage(f, p):
     """The stage velocity through the moduli objects: dual of dF_f, then its normal displacement."""
-    h_field = hamiltonian_field_H(InducedObservable(f, scale=tau), p)
+    h_field = hamiltonian_field_H(f, p)
     return _normal_displacement(p, h_field.fvec), h_field.tvec
 
 
@@ -330,9 +329,9 @@ class TestStageKernel:
     def test_matches_object_oracle(self, plane, surface_kind, tau, text):
         surface = plane if surface_kind == "plane" else weighted_torus()
         p = kernel_point(surface)
-        f = expr(text)
-        nu, t1, u = dynamics._stage_velocity(f, tau, surface, p.loop.points, p.theta.values)
-        nu_ref, t1_ref = oracle_stage(f, tau, p)
+        f = tau * expr(text)
+        nu, t1, u = dynamics._stage_velocity(f, surface, p.loop.points, p.theta.values)
+        nu_ref, t1_ref = oracle_stage(f, p)
         assert relative_gap(nu, nu_ref) <= 1e-13
         assert relative_gap(t1, t1_ref) <= 1e-13
         assert relative_gap(u, tangential_hamiltonian_coefficient(f, p)) <= 1e-13
@@ -347,7 +346,7 @@ class TestStageKernel:
 
         monkeypatch.setattr(dynamics, "loop_derivative", counted)
         p = kernel_point(plane)
-        dynamics._stage_velocity(expr("x*y"), 1.0, plane, p.loop.points, p.theta.values)
+        dynamics._stage_velocity(expr("x*y"), plane, p.loop.points, p.theta.values)
         assert calls == [(64, 2), (64, 2)]
 
     def test_one_density_evaluation_per_stage(self, monkeypatch):
@@ -361,7 +360,7 @@ class TestStageKernel:
             return density(x, y)
 
         monkeypatch.setattr(surface, "density", counted)
-        dynamics._stage_velocity(expr("x*y+0.3*x^2"), 2.5, surface, p.loop.points, p.theta.values)
+        dynamics._stage_velocity(2.5 * expr("x*y+0.3*x^2"), surface, p.loop.points, p.theta.values)
         assert calls == [(64,)]
 
     @pytest.mark.parametrize("surface_kind", ["plane", "torus"])
@@ -411,9 +410,9 @@ class TestStageKernel:
 
         with pytest.raises(error) as expected:
             p = ModuliPoint(surface, Loop(pts), HalfDensity(theta), strict=False)
-            oracle_stage(f, 1.0, p)
+            oracle_stage(f, p)
         with pytest.raises(error) as got:
-            dynamics._stage_velocity(f, 1.0, surface, pts, theta)
+            dynamics._stage_velocity(f, surface, pts, theta)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
         assert message in str(got.value)
@@ -424,5 +423,33 @@ class TestStageKernel:
         theta = HalfDensity(1.0 + np.cos(2 * np.pi * s)).normalized()
         assert np.min(np.abs(theta.values)) == 0.0
         p0 = ModuliPoint(plane, project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane), theta)
-        with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| 0\.000e\+00"):
+        with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| 0\.000e\+00") as got:
             flow_moduli(expr("x*y"), p0, 0.01, 0.005)
+        assert "step 1 of 2 (t = 0.005, first RK4 stage)" in str(got.value)
+
+
+class TestScaledField:
+    """F_{c f} = c F_f, so the moduli flow of c f to time t is the flow of f to time c t."""
+
+    @pytest.mark.parametrize("surface_kind,text", [
+        ("plane", "x*y+0.3*x^2"),
+        ("torus", "0.2*sin(pi*x)*cos(pi*y)"),
+    ])
+    def test_doubled_field_is_the_flow_at_doubled_time(self, plane, surface_kind, text):
+        n = 128
+        if surface_kind == "plane":
+            surface = plane
+            loop = Loop.ellipse(1.3, 0.8, n=n, angle=0.4)
+        else:
+            surface = weighted_torus()
+            loop = Loop.ellipse(0.7, 0.5, center=(1.0, 1.0), n=n, angle=0.4)
+        p0 = ModuliPoint(surface, project_to_bs(loop, surface), HalfDensity.cosine_profile(n, 0.3, 2))
+        f = expr(text)
+        t, h = 0.05, 2.5e-3
+        scaled = flow_moduli(2 * f, p0, t, h, snapshot_every=20)
+        slow = flow_moduli(f, p0, 2 * t, 2 * h, snapshot_every=20)
+        assert np.array_equal(scaled.final().loop.points, slow.final().loop.points)
+        assert np.array_equal(scaled.final().theta.values, slow.final().theta.values)
+        assert scaled.checksums == slow.checksums
+        assert np.array_equal(scaled.substeps, slow.substeps)
+        assert np.array_equal(scaled.observable_values, 2 * slow.observable_values)

@@ -236,14 +236,6 @@ class TestSharp:
         with pytest.raises(SingularPairing):
             sharp(p, Covector(np.ones(n), np.ones(n)))
 
-    def test_callable_functional_accepted(self, ellipse_point, rng):
-        p = ellipse_point
-        om = omega_matrix(p)
-        weights = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
-        v1 = sharp(p, weights, om=om)
-        v2 = sharp(p, lambda u: weights(u), om=om)
-        assert np.max(np.abs(v1.fvec - v2.fvec)) < 1e-11
-
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_pointwise_matches_dense(self, n):
         plane = SymplecticSurface.plane()

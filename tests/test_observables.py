@@ -5,7 +5,6 @@ import scipy.integrate
 from bsmoduli import (
     BRACKET_SIGN,
     HalfDensity,
-    InducedObservable,
     Loop,
     ModuliPoint,
     SingularPairing,
@@ -42,7 +41,7 @@ from conftest import expr, observed_orders, random_tangent, smooth_tangent
 
 class TestEvaluateF:
     def test_constant_field(self, ellipse_point):
-        obs = InducedObservable(expr("4"), scale=1.5)
+        obs = 1.5 * expr("4")
         assert evaluate_F(obs, ellipse_point) == pytest.approx(6.0, abs=1e-12)
 
     def test_offset_circle_mean(self, plane):
@@ -278,7 +277,7 @@ class TestBracketReports:
         p = ellipse_point
         om = omega_matrix(p)
         x, y, r2 = expr("x"), expr("y"), expr("x^2+y^2")
-        scaled = InducedObservable(expr("x*y"), scale=1.7)
+        scaled = 1.7 * expr("x*y")
         pairs = [(x, y), (x, r2), (scaled, y), (r2, scaled), (y, y)]
         dualized = []
         real = observables.differential_covector
@@ -363,9 +362,7 @@ class TestModuliBracket:
         f = expr("x")
         g = expr("x^2+y^2")
         base = moduli_bracket(f, g, p, om=om)
-        scaled = moduli_bracket(
-            InducedObservable(f, scale=2.0), InducedObservable(g, scale=2.0), p, om=om
-        )
+        scaled = moduli_bracket(2.0 * f, 2.0 * g, p, om=om)
         assert scaled / base == pytest.approx(4.0, rel=1e-9)
 
     def test_scaled_target_tracks_tau_linearly(self, ellipse_point):
@@ -373,9 +370,7 @@ class TestModuliBracket:
         f = expr("x")
         g = expr("x^2+y^2")
         t1 = moduli_bracket(f, g, p, "target")
-        t2 = moduli_bracket(
-            InducedObservable(f, scale=2.0), InducedObservable(g, scale=2.0), p, "target"
-        )
+        t2 = moduli_bracket(2.0 * f, 2.0 * g, p, "target")
         assert t2 / t1 == pytest.approx(4.0, rel=1e-12)
 
     def test_directional_derivative_orientation(self, ellipse_point):
@@ -498,3 +493,13 @@ class TestRestrictedHelpers:
         for _ in range(50):
             v = random_tangent(p, rng)
             assert ell(v) == pytest.approx(oneform_B(f, p, v), abs=1e-10)
+
+
+def test_public_names_resolve():
+    import bsmoduli
+
+    missing = [name for name in bsmoduli.__all__ if not hasattr(bsmoduli, name)]
+    assert missing == []
+    assert "InducedObservable" not in bsmoduli.__all__
+    assert not hasattr(bsmoduli, "InducedObservable")
+    assert not hasattr(observables, "InducedObservable")

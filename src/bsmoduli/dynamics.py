@@ -1,7 +1,8 @@
 """Time integration on the surface and on the moduli space.
 
 Classical trajectories use the implicit midpoint rule (symplectic, second
-order, time-symmetric); moduli trajectories use classical RK4 on the pair
+order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
+a closed-form 2x2 solve; moduli trajectories use classical RK4 on the pair
 (loop points, weight values), with the stage velocity given by the
 Hamiltonian field of the induced observable realized as a normal
 displacement field.  That velocity comes from one array kernel,
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expressions as ex
 from .errors import GeometryError, NewtonDivergence
 from .loops import (
     HalfDensity,
@@ -33,7 +35,7 @@ from .loops import (
 )
 from .moduli import ModuliPoint, _require_pointwise_dual
 from .observables import evaluate_F
-from .surfaces import _field_and_density
+from .surfaces import _field_and_density, _field_jacobian
 from .surfaces import hamiltonian_vector_field as classical_field
 from .surfaces import tangential_coefficient
 
@@ -41,13 +43,9 @@ from .surfaces import tangential_coefficient
 # fastest advected Fourier mode below this margin.
 RK4_STABLE_Z = 2.0
 
-# Implicit-midpoint Newton: absolute residual tolerance, pass budget, and the
-# central-difference stencil (the midpoint, then +-eps along x and along y).
+# Implicit-midpoint Newton: absolute residual tolerance and pass budget.
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
-_FD_EPS = 1e-7
-_STENCIL = np.array([[0.0, 0.0], [_FD_EPS, 0.0], [-_FD_EPS, 0.0], [0.0, _FD_EPS], [0.0, -_FD_EPS]])
-_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -60,32 +58,46 @@ class ClassicalTrajectory:
         return self.points[-1]
 
 
-def _implicit_midpoint_step(f, surface, p, h):
-    """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with a central-difference Jacobian.
+def _implicit_midpoint_step(f, surface, p, h, jacobian):
+    """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with the exact Jacobian of X_f.
 
     p is a point (2,) or an (M, 2) batch, solved together: each pass makes one
-    field call, on the midpoints and their four stencil points each, and the
-    batch has converged once its largest residual is below NEWTON_TOL; the
-    last pass only tests the residual.
+    field call on the midpoints for the residual and evaluates the four trees
+    of DX_f (``jacobian``, from ``surfaces._field_jacobian``) there, then
+    solves every 2x2 system (I - h/2 DX_f) delta = -residual by Cramer's
+    rule.  The batch has converged once its largest residual is below
+    NEWTON_TOL; the last pass only tests the residual.
     """
+    k = 0.5 * h
     p_new = p + h * classical_field(f, surface, p)
     for it in range(NEWTON_MAX_ITER + 1):
-        xs = classical_field(f, surface, 0.5 * (p + p_new)[..., None, :] + _STENCIL)
-        res = p_new - p - h * xs[..., 0, :]
+        mid = 0.5 * (p + p_new)
+        res = p_new - p - h * classical_field(f, surface, mid)
         err = np.abs(res).max()
         if err < NEWTON_TOL:
             return p_new
         if it == NEWTON_MAX_ITER:
             raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
-        diff = xs[..., 1::2, :] - xs[..., 2::2, :]
-        jac = _EYE2 - 0.5 * h * (diff.swapaxes(-1, -2) / (2 * _FD_EPS))
-        try:
-            delta = np.linalg.solve(jac, -res[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence("singular Newton system in implicit midpoint") from exc
+        x, y = mid[..., 0], mid[..., 1]
+        a, b, c, d = [ex.evaluate(tree, x, y) for tree in jacobian]
+        m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
+        det = m00 * m11 - m01 * m10
+        if not np.asarray(det).all():  # tested before dividing, so no RuntimeWarning
+            raise NewtonDivergence("singular Newton system in implicit midpoint")
+        r0, r1 = res[..., 0], res[..., 1]
+        delta = np.empty(res.shape)
+        delta[..., 0] = (m01 * r1 - m11 * r0) / det
+        delta[..., 1] = (m10 * r0 - m00 * r1) / det
         if not np.abs(delta).max() <= 1e6:  # also true for a NaN or an inf
             raise NewtonDivergence("implicit midpoint Newton step diverged")
         p_new = p_new + delta
+
+
+def _step_count(t_final, h):
+    """Steps of length |h| to reach |t_final|; the sign of h alone sets the direction."""
+    if h == 0:
+        raise ValueError("step must be nonzero")
+    return int(round(abs(t_final) / abs(h)))
 
 
 def flow_classical(f, surface, p0, t_final, h):
@@ -97,18 +109,17 @@ def flow_classical(f, surface, p0, t_final, h):
     the output.  A Newton failure raises NewtonDivergence naming the step and
     time.
     """
-    if h == 0:
-        raise ValueError("step must be nonzero")
+    steps = _step_count(t_final, h)
     p0 = np.asarray(p0, dtype=float)
     if p0.ndim not in (1, 2) or p0.shape[-1] != 2:
         raise ValueError(f"initial point must have shape (2,) or (M, 2), got {p0.shape}")
-    steps = int(round(abs(t_final) / abs(h)))
+    jacobian = _field_jacobian(f, surface)
     times = np.arange(steps + 1) * h
     pts = np.empty((steps + 1,) + p0.shape)
     pts[0] = p0
     for i in range(steps):
         try:
-            pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h)
+            pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h, jacobian)
         except NewtonDivergence as exc:
             raise NewtonDivergence(
                 f"classical flow failed in step {i + 1} of {steps} "
@@ -190,7 +201,8 @@ def _rk4_step(field, surface, pts, th, h, k1):
 def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     """RK4 flow of the induced observable F_f on the moduli space.
 
-    Each requested step of length h runs as ``substeps[i]`` equal RK4
+    As in flow_classical, negative h integrates backwards and h = 0 raises
+    ValueError.  Each requested step of length h runs as ``substeps[i]`` equal RK4
     substeps, m = max(1, ceil(z / RK4_STABLE_Z)) with
     z = |h| * 2 pi (N/2 - 1) * 2 max|u_f|: the normal-displacement flow
     advects the loop at speed 2 u_f, so Fourier mode k has eigenvalue
@@ -206,7 +218,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     step, its time, its RK4 substep count and the cause.
     """
     surface = p0.surface
-    steps = int(round(t_final / h))
+    steps = _step_count(t_final, h)
     pts = p0.loop.points
     th = p0.theta.values
     winding = p0.loop.winding

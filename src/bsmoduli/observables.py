@@ -155,16 +155,8 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
             om = omega_matrix(p)
         return omega(p, hamiltonian_field_H(f, p, om=om), hamiltonian_field_H(g, p, om=om))
     if method == "closed_form":
-        th2 = p.theta.values**2
-        tan = p.loop.tangent()
-        fx = hamiltonian_vector_field(f, p.surface, p.loop.points)
-        gx = hamiltonian_vector_field(g, p.surface, p.loop.points)
-        u_f = tangential_coefficient(fx, tan)
-        u_g = tangential_coefficient(gx, tan)
-        df_loop = loop_derivative(restricted_values(f, p))
-        dg_loop = loop_derivative(restricted_values(g, p))
-        integrand = df_loop * u_g - dg_loop * u_f
-        return BRACKET_SIGN * 2.0 * integrate_density(integrand * th2)
+        integrand = _restricted_bracket(f, g, p.loop, p.surface)
+        return BRACKET_SIGN * 2.0 * integrate_density(integrand * p.theta.values**2)
     bracket_field = poisson_bracket_field(f, g, p.surface)
     return BRACKET_SIGN * 2.0 * evaluate_F(bracket_field, p)
 
@@ -218,6 +210,17 @@ def measure_bracket_sign(p, f=None, g=None):
     return float(np.sign(matrix_value / closed_raw))
 
 
+def _restricted_bracket(f, g, loop, surface):
+    """(f o gamma)' u_g - (g o gamma)' u_f on the samples, u_h the tangential coefficient of X_h."""
+    pts = loop.points
+    tan = loop.tangent()
+    f_loop = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    g_loop = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
+    u_f = tangential_coefficient(hamiltonian_vector_field(f, surface, pts), tan)
+    u_g = tangential_coefficient(hamiltonian_vector_field(g, surface, pts), tan)
+    return loop_derivative(f_loop) * u_g - loop_derivative(g_loop) * u_f
+
+
 def restriction_identity_residual(f, g, loop, surface):
     """Per-sample residual of the restricted-bracket identity.
 
@@ -225,15 +228,7 @@ def restriction_identity_residual(f, g, loop, surface):
     with u_h the tangential coefficient of X_h along the loop.  Spectrally
     small for smooth data.
     """
-    pts = loop.points
-    tan = loop.tangent()
-    f_loop = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    g_loop = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    u_f = tangential_coefficient(hamiltonian_vector_field(f, surface, pts), tan)
-    u_g = tangential_coefficient(hamiltonian_vector_field(g, surface, pts), tan)
-    lhs = poisson_bracket(f, g, surface, pts)
-    rhs = loop_derivative(f_loop) * u_g - loop_derivative(g_loop) * u_f
-    return lhs - rhs
+    return poisson_bracket(f, g, surface, loop.points) - _restricted_bracket(f, g, loop, surface)
 
 
 def compatibility_residuals(f, g, loop, surface):

@@ -247,6 +247,18 @@ def _field_and_density(f, surface, p):
     return out, w
 
 
+def _field_jacobian(f, surface):
+    """The trees of DX_f = [[d/dx, d/dy] of f_y / w, [d/dx, d/dy] of -f_x / w], row by row.
+
+    Differentiated and simplified from f's gradient trees; on a weighted
+    surface the quotient rule carries w's derivatives exactly.
+    """
+    parts = (f._dy, ("mul", ("const", -1.0), f._dx))
+    if surface.omega_density is not None:
+        parts = tuple(("div", part, surface.omega_density.ast) for part in parts)
+    return tuple(ex.simplify(ex.differentiate(part, v)) for part in parts for v in ("x", "y"))
+
+
 def hamiltonian_vector_field(f, surface, p):
     """X_f = (f_y / w, -f_x / w) at p: a point (2,) or any (..., 2) stack of points."""
     return _field_and_density(f, surface, p)[0]

@@ -213,6 +213,22 @@ class TestExitCodes:
         assert "RuntimeWarning" not in out.stderr
         assert not (tmp_path / "flow_moduli.csv").exists()
 
+    def test_zero_moduli_step_is_a_config_error(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
+        cfg.update(step=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "bsmoduli.cli", "flow", "--config", str(path),
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr == "bsq: config error: step must be nonzero\n"
+        assert not (tmp_path / "flow_moduli.csv").exists()
+
     def test_moduli_step_failure_names_the_step(self, tmp_path):
         # a weighted-torus flow whose weight blows up: the volume overflows in step 53
         cfg = {

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from bsmoduli import (
     loops,
     project_to_bs,
 )
+from bsmoduli import expressions as ex
+from bsmoduli import surfaces
 from bsmoduli.moduli import _normal_displacement
 from bsmoduli.observables import tangential_hamiltonian_coefficient
 from bsmoduli.cli import build_density, build_field, build_loop
@@ -143,27 +146,29 @@ class TestBatchedClassicalFlow:
         assert np.max(np.abs(traj.values - values)) <= bound
 
     def test_one_field_call_per_newton_pass_on_the_stack(self, plane, monkeypatch):
-        # per step: the predictor on (M, 2), then one (M, 5, 2) call per pass;
-        # every pass but the converged last one makes one (M, 2, 2) solve
-        shapes, solves = [], []
-        field, solve = dynamics.classical_field, np.linalg.solve
+        # per step: the predictor on (M, 2), then one (M, 2) field call per
+        # pass; every pass but the converged last one evaluates the four
+        # Jacobian trees on the (M,) midpoints, and nothing calls a dense solve
+        shapes, trees, solves = [], [], []
+        field = dynamics.classical_field
 
         def counted_field(f, surface, p):
             shapes.append(np.shape(p))
             return field(f, surface, p)
 
-        def counted_solve(a, b):
-            solves.append((a.shape, b.shape))
-            return solve(a, b)
+        def counted_evaluate(node, x, y):
+            trees.append(np.shape(x))
+            return ex.evaluate(node, x, y)
 
         monkeypatch.setattr(dynamics, "classical_field", counted_field)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(dynamics, "ex", SimpleNamespace(evaluate=counted_evaluate))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
         samples = ellipse_samples(plane, n=16)
         flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
-        assert shapes.count((16, 2)) == 10
-        assert shapes.count((16, 5, 2)) == len(solves) + 10
-        assert len(shapes) == len(solves) + 20
-        assert set(solves) == {((16, 2, 2), (16, 2, 1))}
+        passes = len(shapes) - 10
+        assert set(shapes) == {(16, 2)} and passes >= 20
+        assert len(trees) == 4 * (passes - 10) and set(trees) == {(16,)}
+        assert solves == []
 
     @pytest.mark.parametrize("bad", ["diverging", "nan"])
     def test_one_bad_member_fails_the_batch_naming_the_step(self, plane, bad):
@@ -175,12 +180,59 @@ class TestBatchedClassicalFlow:
             flow_classical(f, plane, samples, t_final, h)
 
 
+class TestExactJacobian:
+    @pytest.mark.parametrize("text", ["x*y+0.3*x^2", "sin(0.9*x)+0.8*y^2", "sin(pi*x)*cos(pi*y)"])
+    @pytest.mark.parametrize("case", ["plane", "torus", "weighted torus"])
+    def test_matches_a_central_difference_of_the_field(self, plane, case, text):
+        surface = {
+            "plane": plane,
+            "torus": SymplecticSurface.torus(2 * np.pi, 2 * np.pi),
+            "weighted torus": weighted_torus(),
+        }[case]
+        f = expr(text)
+        p = np.random.default_rng(13).uniform(0.1, 1.9, size=(24, 2))
+        exact = np.stack(
+            [np.broadcast_to(ex.evaluate(tree, p[:, 0], p[:, 1]), (24,))
+             for tree in surfaces._field_jacobian(f, surface)],
+            axis=1,
+        ).reshape(24, 2, 2)
+        eps = 1e-5
+        oracle = np.empty((24, 2, 2))
+        for k in range(2):
+            step = eps * np.eye(2)[k]
+            diff = (surfaces.hamiltonian_vector_field(f, surface, p + step)
+                    - surfaces.hamiltonian_vector_field(f, surface, p - step))
+            oracle[:, :, k] = diff / (2 * eps)
+        assert np.max(np.abs(exact - oracle)) <= 1e-7 * max(1.0, np.max(np.abs(oracle)))
+
+    def test_singular_newton_system_raises_naming_the_step(self, plane):
+        # X = (x, -y) for x*y, so I - h/2 DX = diag(0, 2) at h = 2: det is exactly 0
+        with pytest.raises(NewtonDivergence,
+                           match=r"failed in step 1 of 1 \(t = 2\.0\): singular Newton system"):
+            flow_classical(expr("x*y"), plane, [1.0, 1.0], 2.0, 2.0)
+
+
 def gentle_point(plane, n=64):
     loop = project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane)
     return ModuliPoint(plane, loop, HalfDensity.cosine_profile(n))
 
 
 class TestModuliFlow:
+    def test_step_sign_sets_the_direction(self, plane):
+        p0 = gentle_point(plane)
+        f = expr("x*y+0.3*x^2")
+        a = flow_moduli(f, p0, 0.02, -5e-3, snapshot_every=1)
+        b = flow_moduli(f, p0, -0.02, -5e-3, snapshot_every=1)
+        assert np.array_equal(a.times, np.arange(5) * -5e-3)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.observable_values.tobytes() == b.observable_values.tobytes()
+        assert a.checksums == b.checksums
+        assert a.final().loop.points.tobytes() == b.final().loop.points.tobytes()
+
+    def test_zero_step_rejected(self, plane):
+        with pytest.raises(ValueError, match="step must be nonzero"):
+            flow_moduli(expr("x"), gentle_point(plane), 0.1, 0.0)
+
     def test_constant_observable_is_stationary(self, plane):
         p0 = gentle_point(plane)
         traj = flow_moduli(expr("3"), p0, 0.1, 0.01, snapshot_every=5)

@@ -2,9 +2,11 @@
 
 Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
-a closed-form 2x2 solve; moduli trajectories use classical RK4 on the pair
-(loop points, weight values), with the stage velocity given by the
-Hamiltonian field of the induced observable realized as a normal
+a closed-form 2x2 solve.  The Newton runs on the coordinates (x, y): Python
+floats for one point, (M,) arrays for a batch, with X_f and DX_f compiled
+once per flow into functions of (x, y).  Moduli trajectories use classical
+RK4 on the pair (loop points, weight values), with the stage velocity given
+by the Hamiltonian field of the induced observable realized as a normal
 displacement field.  That velocity comes from one array kernel,
 ``_stage_velocity``, which builds no loop, weight or moduli-point objects and
 makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
@@ -35,9 +37,12 @@ from .loops import (
 )
 from .moduli import ModuliPoint, _require_pointwise_dual
 from .observables import evaluate_F
-from .surfaces import _field_and_density, _field_jacobian
-from .surfaces import hamiltonian_vector_field as classical_field
-from .surfaces import tangential_coefficient
+from .surfaces import (
+    _field_and_density,
+    _field_jacobian,
+    _require_positive_density,
+    tangential_coefficient,
+)
 
 # RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2); substeps keep the
 # fastest advected Fourier mode below this margin.
@@ -58,43 +63,93 @@ class ClassicalTrajectory:
         return self.points[-1]
 
 
-def _implicit_midpoint_step(f, surface, p, h, jacobian):
+def _max_abs(a, b):
+    """max(|a|, |b|), NaN when either is NaN, as numpy's max propagates it."""
+    a, b = abs(a), abs(b)
+    return a if a >= b or a != a else b
+
+
+def _batch_max_abs(a, b):
+    return _max_abs(np.abs(a).max(), np.abs(b).max())
+
+
+def _guarded(kernel):
+    """A point kernel whose float errors (1/0, math.sin(inf)) raise NewtonDivergence."""
+
+    def call(x, y):
+        try:
+            return kernel(x, y)
+        except (ArithmeticError, ValueError) as exc:
+            raise NewtonDivergence(f"no float value at ({x!r}, {y!r}): {exc}") from exc
+
+    return call
+
+
+def _kernels(f, surface, scalar):
+    """X_f and the four trees of DX_f as functions of the coordinates (x, y), compiled once.
+
+    X_f = (f_y / w, -f_x / w), with the division and the positivity guard of
+    w only on a weighted surface; ``scalar`` compiles for Python floats, else
+    for (M,) arrays.
+    """
+    w = surface.omega_density
+    field = ex._compile((f._dy, f._dx) + (() if w is None else (w.ast,)), scalar)
+    jacobian = ex._compile(_field_jacobian(f, surface), scalar)
+    if scalar:
+        field, jacobian = _guarded(field), _guarded(jacobian)
+
+    def x_f(x, y):
+        if w is None:
+            fy, fx = field(x, y)
+            return fy, -fx
+        fy, fx, wv = field(x, y)
+        _require_positive_density(wv)
+        return fy / wv, -fx / wv
+
+    return x_f, jacobian
+
+
+def _implicit_midpoint_step(x_f, jacobian, backend, x, y, h):
     """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with the exact Jacobian of X_f.
 
-    p is a point (2,) or an (M, 2) batch, solved together: each pass makes one
-    field call on the midpoints for the residual and evaluates the four trees
-    of DX_f (``jacobian``, from ``surfaces._field_jacobian``) there, then
-    solves every 2x2 system (I - h/2 DX_f) delta = -residual by Cramer's
-    rule.  The batch has converged once its largest residual is below
-    NEWTON_TOL; the last pass only tests the residual.
+    p = (x, y) is one point of Python floats or a batch of (M,) arrays,
+    solved together: each pass evaluates X_f at the midpoints for the
+    residual and the four entries of DX_f (``jacobian``) there, then solves
+    every 2x2 system (I - h/2 DX_f) delta = -residual by Cramer's rule.
+    ``backend`` is the pair (largest |component| of two, nonsingular test of
+    det) for that kind of p.  The batch has converged once its largest
+    residual is below NEWTON_TOL; the last pass only tests the residual.
     """
+    norm, nonsingular = backend
     k = 0.5 * h
-    p_new = p + h * classical_field(f, surface, p)
+    u, v = x_f(x, y)
+    xn, yn = x + h * u, y + h * v
     for it in range(NEWTON_MAX_ITER + 1):
-        mid = 0.5 * (p + p_new)
-        res = p_new - p - h * classical_field(f, surface, mid)
-        err = np.abs(res).max()
+        mx, my = 0.5 * (x + xn), 0.5 * (y + yn)
+        u, v = x_f(mx, my)
+        r0, r1 = xn - x - h * u, yn - y - h * v
+        err = norm(r0, r1)
         if err < NEWTON_TOL:
-            return p_new
+            return xn, yn
         if it == NEWTON_MAX_ITER:
             raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
-        x, y = mid[..., 0], mid[..., 1]
-        a, b, c, d = [ex.evaluate(tree, x, y) for tree in jacobian]
+        a, b, c, d = jacobian(mx, my)
         m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
         det = m00 * m11 - m01 * m10
-        if not np.asarray(det).all():  # tested before dividing, so no RuntimeWarning
+        if not nonsingular(det):  # tested before dividing, so no ZeroDivisionError
             raise NewtonDivergence("singular Newton system in implicit midpoint")
-        r0, r1 = res[..., 0], res[..., 1]
-        delta = np.empty(res.shape)
-        delta[..., 0] = (m01 * r1 - m11 * r0) / det
-        delta[..., 1] = (m10 * r0 - m00 * r1) / det
-        if not np.abs(delta).max() <= 1e6:  # also true for a NaN or an inf
+        d0 = (m01 * r1 - m11 * r0) / det
+        d1 = (m10 * r0 - m00 * r1) / det
+        if not norm(d0, d1) <= 1e6:  # also true for a NaN or an inf
             raise NewtonDivergence("implicit midpoint Newton step diverged")
-        p_new = p_new + delta
+        xn, yn = xn + d0, yn + d1
 
 
 def _step_count(t_final, h):
     """Steps of length |h| to reach |t_final|; the sign of h alone sets the direction."""
+    for key, value in (("t_final", t_final), ("step", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if h == 0:
         raise ValueError("step must be nonzero")
     return int(round(abs(t_final) / abs(h)))
@@ -104,28 +159,35 @@ def flow_classical(f, surface, p0, t_final, h):
     """Implicit-midpoint Hamiltonian flow of f from p0, a point (2,) or an (M, 2) batch.
 
     A batch runs as one Newton solve per step, so its points are
-    ``points[step, m]``.  Negative h integrates backwards.  Torus coordinates
-    are kept on the lift internally (the fields are periodic) and wrapped in
-    the output.  A Newton failure raises NewtonDivergence naming the step and
-    time.
+    ``points[step, m]``.  The Newton runs on the coordinates: Python floats
+    for a point, (M,) arrays for a batch, through X_f and DX_f compiled once
+    per call (``_kernels``).  Negative h integrates backwards.  Torus
+    coordinates are kept on the lift internally (the fields are periodic) and
+    wrapped in the output.  A Newton failure, a non-finite value included,
+    raises NewtonDivergence naming the step and time.
     """
     steps = _step_count(t_final, h)
     p0 = np.asarray(p0, dtype=float)
     if p0.ndim not in (1, 2) or p0.shape[-1] != 2:
         raise ValueError(f"initial point must have shape (2,) or (M, 2), got {p0.shape}")
-    jacobian = _field_jacobian(f, surface)
+    scalar = p0.ndim == 1
+    x_f, jacobian = _kernels(f, surface, scalar)
+    backend = (_max_abs, bool) if scalar else (_batch_max_abs, np.all)
+    x, y = p0.tolist() if scalar else p0.T
     times = np.arange(steps + 1) * h
-    pts = np.empty((steps + 1,) + p0.shape)
-    pts[0] = p0
-    for i in range(steps):
-        try:
-            pts[i + 1] = _implicit_midpoint_step(f, surface, pts[i], h, jacobian)
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(
-                f"classical flow failed in step {i + 1} of {steps} "
-                f"(t = {float(times[i + 1])!r}): {exc}"
-            ) from exc
-    out = surface.wrap(pts)
+    xs, ys = [x], [y]
+    with np.errstate(all="ignore"):
+        for i in range(steps):
+            try:
+                x, y = _implicit_midpoint_step(x_f, jacobian, backend, x, y, h)
+            except NewtonDivergence as exc:
+                raise NewtonDivergence(
+                    f"classical flow failed in step {i + 1} of {steps} "
+                    f"(t = {float(times[i + 1])!r}): {exc}"
+                ) from exc
+            xs.append(x)
+            ys.append(y)
+    out = surface.wrap(np.stack([np.array(xs), np.array(ys)], axis=-1))
     vals = np.asarray(f(out[..., 0], out[..., 1]), dtype=float)
     return ClassicalTrajectory(times=times, points=out, values=vals)
 

@@ -18,10 +18,22 @@ periodicity on a torus decidable).
 The AST is a nested tuple: ``('const', v)``, ``('var', 'x')``,
 ``('add'|'sub'|'mul'|'div', a, b)``, ``('pow', a, k)``,
 ``('sin'|'cos', a)``.
+
+A tree is evaluated by translating it once into Python source, one
+assignment per node in the order a recursive walk visits them, and
+compiling that into a function ``(x, y) -> tuple of values``.  The numpy
+namespace (``np.power``, ``np.sin``, ``np.cos``) serves ``evaluate`` and
+batches; the point namespace runs on Python floats for one point of a
+classical flow and gives the same bits.  The generator emits only the
+grammar's operators and functions, the names x and y, integer exponents and
+constants bound by name, so nothing from a tree is pasted into the source.
 """
 
+import functools
+import marshal
 import math
 import re
+import types
 
 import numpy as np
 
@@ -224,30 +236,97 @@ def linear_coefficients(node):
     return None if c is None else (0.0, 0.0, c)
 
 
+_BINARY = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def _float_power(a, k):
+    return float(np.power(a, k))
+
+
+# numpy's power is not libm's pow to the last bit (with AVX-512 it differs on
+# about 1% of arguments), so the point namespace calls np.power too; numpy's
+# float64 sin and cos give libm's bits (both checked by the expression tests).
+_NAMESPACES = {
+    False: {"power": np.power, "sin": np.sin, "cos": np.cos},
+    True: {"power": _float_power, "sin": math.sin, "cos": math.cos},
+}
+
+
+def _compile(nodes, scalar):
+    """One function (x, y) -> tuple of the values of ``nodes``, compiled once per tree set.
+
+    ``scalar`` picks the namespace: math on Python floats for one point,
+    numpy for arrays.  The cache key is the trees' marshal bytes, which tell
+    0.0 from -0.0 where tuple equality does not.  32 entries hold every tree
+    a command evaluates over and over (a bracket-check instance has 14);
+    more only keep the compiled code of fields no longer in use.  Constants
+    are bound by name, so trees that differ only in their constants (a new
+    field of the same form) share one code object.
+    """
+    try:
+        key = marshal.dumps(nodes, 2)
+    except ValueError as exc:
+        raise ExpressionError(f"not an expression tree: {exc}") from None
+    return _compiled(key, scalar)
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(key, scalar):
+    lines = []
+    consts = {}
+
+    def emit(node):
+        tag = node[0]
+        if tag == "const":
+            if not isinstance(node[1], (int, float)):
+                raise ExpressionError(f"constant must be a number, got {node[1]!r}")
+            name = f"c{len(consts)}"
+            consts[name] = float(node[1])
+            return name
+        if tag == "var":
+            if node[1] not in ("x", "y"):
+                raise ExpressionError(f"unknown variable {node[1]!r}")
+            return "x" if node[1] == "x" else "y"
+        if tag in _BINARY:
+            value = f"{emit(node[1])} {_BINARY[tag]} {emit(node[2])}"
+        elif tag == "pow":
+            base, k = emit(node[1]), int(node[2])
+            if k != node[2]:
+                raise ExpressionError(f"exponent must be an integer, got {node[2]!r}")
+            value = f"1.0 / power({base}, {-k})" if k < 0 else f"power({base}, {k})"
+        elif tag in ("sin", "cos"):
+            value = f"{'sin' if tag == 'sin' else 'cos'}({emit(node[1])})"
+        else:
+            raise ExpressionError(f"unknown expression tag {tag!r}")
+        lines.append(f"    t{len(lines)} = {value}\n")
+        return f"t{len(lines) - 1}"
+
+    results = [emit(node) for node in marshal.loads(key)]
+    source = "def kernel(x, y):\n" + "".join(lines) + f"    return ({', '.join(results)},)\n"
+    return types.FunctionType(_code(source), dict(_NAMESPACES[scalar], __builtins__={}, **consts))
+
+
+@functools.lru_cache(maxsize=32)
+def _code(source):
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["kernel"].__code__
+
+
+# Numpy kernels of the trees evaluate saw last, by identity, so the tree a
+# field holds is found without marshalling it.  An entry holds its tree, so
+# no other object can take that id while the entry lives.
+_BY_ID = {}
+
+
 def evaluate(node, x, y):
-    """Evaluate the AST with numpy broadcasting over x, y."""
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "var":
-        return x if node[1] == "x" else y
-    if tag == "add":
-        return evaluate(node[1], x, y) + evaluate(node[2], x, y)
-    if tag == "sub":
-        return evaluate(node[1], x, y) - evaluate(node[2], x, y)
-    if tag == "mul":
-        return evaluate(node[1], x, y) * evaluate(node[2], x, y)
-    if tag == "div":
-        return evaluate(node[1], x, y) / evaluate(node[2], x, y)
-    if tag == "pow":
-        base = evaluate(node[1], x, y)
-        k = node[2]
-        if k < 0:
-            return 1.0 / np.power(base, -k)
-        return np.power(base, k)
-    if tag == "sin":
-        return np.sin(evaluate(node[1], x, y))
-    return np.cos(evaluate(node[1], x, y))
+    """Evaluate the AST with numpy broadcasting over x, y: one call of its compiled numpy kernel."""
+    hit = _BY_ID.get(id(node))
+    if hit is None or hit[0] is not node:
+        if len(_BY_ID) >= 32:
+            _BY_ID.clear()
+        hit = _BY_ID[id(node)] = (node, _compile((node,), False))
+    return hit[1](x, y)[0]
 
 
 def differentiate(node, var):

@@ -145,8 +145,7 @@ class SymplecticSurface:
         if self.omega_density is None:
             return np.ones(np.broadcast(x, y).shape) if (np.ndim(x) or np.ndim(y)) else 1.0
         w = np.asarray(self.omega_density(x, y), dtype=float)
-        if np.any(w <= 0.0):
-            raise ValueError("omega density must be positive at every sampled point")
+        _require_positive_density(w)
         return w
 
     def potential_values(self, x, y):
@@ -197,6 +196,11 @@ class SymplecticSurface:
         ax_ym, _ = self.potential_values(xs, ys - h)
         curl = (ay_xp - ay_xm) / (2 * h) - (ax_yp - ax_ym) / (2 * h)
         return float(np.max(np.abs(curl - self.density(xs, ys))))
+
+
+def _require_positive_density(w):
+    if np.any(w <= 0.0):
+        raise ValueError("omega density must be positive at every sampled point")
 
 
 def rotate90(v):

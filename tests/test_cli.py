@@ -229,6 +229,27 @@ class TestExitCodes:
         assert out.stderr == "bsq: config error: step must be nonzero\n"
         assert not (tmp_path / "flow_moduli.csv").exists()
 
+    def test_infinite_t_final_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"mode": "classical", "field": "x*y", "t_final": 1e400, "step": 0.01}')
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "bsmoduli.cli", "flow", "--config", str(path),
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr == "bsq: config error: t_final must be finite, got inf\n"
+        assert not (tmp_path / "flow_classical.csv").exists()
+
+    def test_nan_moduli_step_is_a_config_error(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())
+        cfg.update(step=float("nan"))
+        assert run("flow", cfg, tmp_path) == EXIT_CONFIG
+        assert "step must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "flow_moduli.csv").exists()
+
     def test_moduli_step_failure_names_the_step(self, tmp_path):
         # a weighted-torus flow whose weight blows up: the volume overflows in step 53
         cfg = {

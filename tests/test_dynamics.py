@@ -71,16 +71,11 @@ class TestClassicalFlow:
 
     def test_one_field_call_per_newton_pass(self, plane, monkeypatch):
         # per step: the predictor, one pass that updates and one that converges
-        calls = []
-        field = dynamics.classical_field
-
-        def counted(*args):
-            calls.append(1)
-            return field(*args)
-
-        monkeypatch.setattr(dynamics, "classical_field", counted)
+        calls = count_kernel_calls(monkeypatch)
         flow_classical(expr("(x^2+y^2)/2"), plane, (1.0, 0.0), 1.0, 1e-2)
-        assert len(calls) == 300
+        assert [n for n, _ in calls].count(2) == 300
+        assert [n for n, _ in calls].count(4) == 100
+        assert {shape for _, shape in calls} == {()}
 
     def test_newton_divergence(self, plane):
         f = expr("(x^2+y^2)^3")
@@ -98,10 +93,42 @@ class TestClassicalFlow:
         with pytest.raises(ValueError):
             flow_classical(expr("x"), plane, (0.0, 0.0), 1.0, 0.0)
 
+    @pytest.mark.parametrize("t_final, h, key", [
+        (np.inf, 1e-2, "t_final"), (np.nan, 1e-2, "t_final"), (1.0, np.nan, "step"),
+        (1.0, -np.inf, "step"),
+    ])
+    def test_non_finite_time_rejected(self, plane, t_final, h, key):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            flow_classical(expr("x*y"), plane, (1.0, 0.0), t_final, h)
+
+    @pytest.mark.parametrize("p0", [[-1.0, 0.0], [[1.0, 0.0], [0.0, 0.5]]])
+    def test_nonpositive_density_is_a_value_error(self, p0):
+        # the guard of w, not a NewtonDivergence, for a point and for a batch
+        surface = SymplecticSurface.plane(omega_density=expr("x"))
+        with pytest.raises(ValueError, match="omega density must be positive at every sampled point"):
+            flow_classical(expr("y"), surface, p0, 0.1, 1e-2)
+
     @pytest.mark.parametrize("p0", [(1.0, 0.0, 0.0), np.zeros((2, 2, 2)), 1.0])
     def test_initial_shape_rejected(self, plane, p0):
         with pytest.raises(ValueError, match=r"shape \(2,\) or \(M, 2\)"):
             flow_classical(expr("x"), plane, p0, 1.0, 1e-2)
+
+
+def count_kernel_calls(monkeypatch):
+    """Record (number of trees, shape of x) for every call of a kernel the flow compiles."""
+    calls = []
+
+    def counted_compile(nodes, scalar):
+        kernel = ex._compile(nodes, scalar)
+
+        def counted(x, y):
+            calls.append((len(nodes), np.shape(x)))
+            return kernel(x, y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "ex", SimpleNamespace(_compile=counted_compile))
+    return calls
 
 
 def ellipse_samples(plane, n=32):
@@ -146,28 +173,17 @@ class TestBatchedClassicalFlow:
         assert np.max(np.abs(traj.values - values)) <= bound
 
     def test_one_field_call_per_newton_pass_on_the_stack(self, plane, monkeypatch):
-        # per step: the predictor on (M, 2), then one (M, 2) field call per
+        # per step: the predictor on (M,) coordinates, then one field call per
         # pass; every pass but the converged last one evaluates the four
         # Jacobian trees on the (M,) midpoints, and nothing calls a dense solve
-        shapes, trees, solves = [], [], []
-        field = dynamics.classical_field
-
-        def counted_field(f, surface, p):
-            shapes.append(np.shape(p))
-            return field(f, surface, p)
-
-        def counted_evaluate(node, x, y):
-            trees.append(np.shape(x))
-            return ex.evaluate(node, x, y)
-
-        monkeypatch.setattr(dynamics, "classical_field", counted_field)
-        monkeypatch.setattr(dynamics, "ex", SimpleNamespace(evaluate=counted_evaluate))
+        calls, solves = count_kernel_calls(monkeypatch), []
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
         samples = ellipse_samples(plane, n=16)
         flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
-        passes = len(shapes) - 10
-        assert set(shapes) == {(16, 2)} and passes >= 20
-        assert len(trees) == 4 * (passes - 10) and set(trees) == {(16,)}
+        fields = [n for n, _ in calls].count(2)
+        passes = fields - 10
+        assert set(calls) == {(2, (16,)), (4, (16,))} and passes >= 20
+        assert [n for n, _ in calls].count(4) == passes - 10 and len(calls) == fields + passes - 10
         assert solves == []
 
     @pytest.mark.parametrize("bad", ["diverging", "nan"])
@@ -178,6 +194,21 @@ class TestBatchedClassicalFlow:
             f, samples, t_final, h = expr("x*y"), [[0.1, 0.0], [np.nan, 0.0]], 0.1, 1e-2
         with pytest.raises(NewtonDivergence, match=r"failed in step 1 of \d+ \(t = "):
             flow_classical(f, plane, samples, t_final, h)
+
+    @pytest.mark.parametrize("text, start", [
+        *[(text, start) for text in ("x", "y", "x*y")
+          for start in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan])],
+        ("x^3", [1e200, 0.0]),
+        ("1/x", [0.0, 1.0]),
+        ("sin(x)", [np.inf, 0.0]),
+    ])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_non_finite_values_fail_naming_the_step(self, plane, text, start, batch):
+        # as a point and beside a good member: NewtonDivergence, never a NaN
+        # trajectory, and no raw warning (Tier-1 turns a RuntimeWarning into an error)
+        p0 = [[0.1, 0.0], start] if batch else start
+        with pytest.raises(NewtonDivergence, match=r"failed in step 1 of 10 \(t = 0\.01\)"):
+            flow_classical(expr(text), plane, p0, 0.1, 1e-2)
 
 
 class TestExactJacobian:
@@ -232,6 +263,13 @@ class TestModuliFlow:
     def test_zero_step_rejected(self, plane):
         with pytest.raises(ValueError, match="step must be nonzero"):
             flow_moduli(expr("x"), gentle_point(plane), 0.1, 0.0)
+
+    @pytest.mark.parametrize("t_final, h, key", [
+        (-np.inf, 5e-3, "t_final"), (np.nan, 5e-3, "t_final"), (0.1, np.inf, "step"),
+    ])
+    def test_non_finite_time_rejected(self, plane, t_final, h, key):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            flow_moduli(expr("x"), gentle_point(plane), t_final, h)
 
     def test_constant_observable_is_stationary(self, plane):
         p0 = gentle_point(plane)

@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -83,3 +85,65 @@ def test_trig_frequencies_and_degree():
     node = ex.parse("x^2*y + sin(2*x + 3*y)")
     assert ex.polynomial_degree(node) == 3
     assert ex.trig_frequencies(node) == [(2.0, 3.0)]
+
+
+def interpret(node, x, y):
+    """The tree walked node by node with numpy, as an oracle for the compiled kernels."""
+    tag = node[0]
+    if tag == "const":
+        return node[1]
+    if tag == "var":
+        return x if node[1] == "x" else y
+    if tag == "pow":
+        k = node[2]
+        power = np.power(interpret(node[1], x, y), abs(k))
+        return 1.0 / power if k < 0 else power
+    if tag in ("sin", "cos"):
+        return getattr(np, tag)(interpret(node[1], x, y))
+    binary = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+    return binary[tag](interpret(node[1], x, y), interpret(node[2], x, y))
+
+
+# Every grammar form: const, var, add, sub, mul, div, ^k for k > 0 and k < 0,
+# sin, cos and unary minus, plus a constant that overflows to inf.
+GRAMMAR = ["2.5", "x", "y", "x+y", "x-y", "1.3*x*y", "x/y", "(x-0.7)^3", "x^-2",
+           "sin(2*x-y+0.1)", "cos(0.5*y)", "-x", "-(x*y)^2", "1e400*x", "1/(x^2+y^4)"]
+GRID = np.concatenate([[-0.0, 0.0, 1e155, -2.5], np.linspace(-2.0, 2.0, 17) + 0.013])
+
+
+@pytest.mark.parametrize("text", GRAMMAR)
+def test_point_and_array_kernels_are_bitwise_equal(text):
+    tree = ex.parse(text)
+    x, y = (a.ravel() for a in np.meshgrid(GRID, GRID, indexing="ij"))
+    point = ex._compile((tree,), True)
+    with np.errstate(all="ignore"):
+        array = np.broadcast_to(ex.evaluate(tree, x, y), x.shape)
+        oracle = np.broadcast_to(interpret(tree, x, y), x.shape)
+        for i in range(len(x)):
+            try:
+                (value,) = point(float(x[i]), float(y[i]))
+            except ZeroDivisionError:
+                # Python floats raise where numpy divides by zero
+                assert not np.isfinite(array[i]), (x[i], y[i])
+                continue
+            assert type(value) is float
+            assert np.float64(value).tobytes() == array[i].tobytes(), (x[i], y[i])
+    assert array.tobytes() == oracle.tobytes()
+
+
+def test_signed_zero_constants_are_kept_apart():
+    assert math.copysign(1.0, ex.evaluate(("const", 0.0), 1.0, 1.0)) == 1.0
+    assert math.copysign(1.0, ex.evaluate(("const", -0.0), 1.0, 1.0)) == -1.0
+    assert math.copysign(1.0, ex.evaluate(("const", 0.0), 1.0, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("tree, message", [
+    (("exec", ("var", "x")), "unknown expression tag 'exec'"),
+    (("add", ("var", "z"), ("const", 1.0)), "unknown variable 'z'"),
+    (("pow", ("var", "x"), 1.5), "exponent must be an integer"),
+    (("const", "__import__('os')"), "constant must be a number"),
+    (("const", object()), "not an expression tree"),
+])
+def test_compiler_rejects_what_the_grammar_cannot_build(tree, message):
+    with pytest.raises(ExpressionError, match=re.escape(message)):
+        ex.evaluate(tree, 1.0, 2.0)

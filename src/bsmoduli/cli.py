@@ -39,7 +39,8 @@ Weight specs: ``{"type": "uniform"}`` or ``{"type": "cosine",
 "amplitude": a, "harmonic": k}``.  Surface specs: ``{"kind": "plane"}`` or
 ``{"kind": "torus", "periods": [Lx, Ly]}``, with optional
 ``"omega_density"`` expression (a matching ``"potential"`` pair of
-expressions is then required for holonomy work).
+expressions is then required for holonomy work; its exact curl is checked
+against the density when the surface is built).
 """
 
 import argparse
@@ -90,6 +91,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# The config potential's curl check: tolerance, midpoint grid per axis, plane box half-width.
+POTENTIAL_TOL = 1e-9
+POTENTIAL_GRID = 32
+PLANE_BOX = 2.0
 
 
 class ConfigError(Exception):
@@ -213,17 +219,49 @@ def build_surface(spec):
         potential = (build_field(pot[0]), build_field(pot[1]))
     try:
         if kind == "plane":
-            return SymplecticSurface.plane(omega_density=density, potential=potential)
-        if kind == "torus":
+            surface = SymplecticSurface.plane(omega_density=density, potential=potential)
+        elif kind == "torus":
             periods = spec.get("periods")
-            if periods is None:
-                raise ConfigError("torus surface requires periods [Lx, Ly]")
-            return SymplecticSurface.torus(
+            if not _is_finite_pair(periods):
+                raise ConfigError(
+                    f"torus surface requires periods [Lx, Ly], two finite numbers, got {periods!r}"
+                )
+            surface = SymplecticSurface.torus(
                 periods[0], periods[1], omega_density=density, potential=potential
             )
+        else:
+            raise ConfigError(f"unknown surface kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown surface kind {kind!r}")
+    if potential is not None:
+        _require_exact_potential(surface, potential)
+    return surface
+
+
+def _require_exact_potential(surface, potential):
+    """Raise ConfigError unless max|curl(alpha) - w| / max|w| <= POTENTIAL_TOL.
+
+    The curl da_y/dx - da_x/dy comes from the fields' exact symbolic
+    gradients, sampled on a midpoint grid over the torus's fundamental domain
+    or the plane's box [-PLANE_BOX, PLANE_BOX]^2.  The box suffices because
+    the grammar's fields are real-analytic where they are defined.
+    """
+    u = (np.arange(POTENTIAL_GRID) + 0.5) / POTENTIAL_GRID
+    if surface.kind == "torus":
+        xs, ys = u * surface.periods[0], u * surface.periods[1]
+    else:
+        xs = ys = PLANE_BOX * (2.0 * u - 1.0)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    ax, ay = potential
+    with np.errstate(all="ignore"):
+        curl = ay.grad(x, y)[0] - ax.grad(x, y)[1]
+        w = np.ones_like(x) if surface.omega_density is None else surface.omega_density(x, y)
+        defect = float(np.max(np.abs(curl - w)) / np.max(np.abs(w)))
+    if not defect <= POTENTIAL_TOL:
+        raise ConfigError(
+            f"potential does not match omega_density: relative curl defect "
+            f"max|da - w| / max|w| = {defect!r} exceeds {POTENTIAL_TOL!r}"
+        )
 
 
 def build_loop(spec, n, surface):
@@ -485,6 +523,7 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
     surface = build_surface(config.get("surface"))
     n = int(config.get("n_samples", 256))
     spec = config.get("loop", {"type": "circle", "radius": 1.0})
+    _require_object(spec, "loop")
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
     values = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["count"]))
     circle = spec.get("type") == "circle"
@@ -541,7 +580,7 @@ def cmd_qm_check(config, out_dir, seed, tolerance):
     vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi = StateVector(vec / np.linalg.norm(vec), hbar=hbar)
     approx = schrodinger_flow_rk4(ham, psi, t_final, step)
-    exact = exact_flow(ham, psi, t_final)
+    exact = exact_flow(ham, psi, math.copysign(t_final, step))
     record("flow_vs_exponential", np.max(np.abs(approx.amplitudes - exact.amplitudes)), tol)
     record("norm_drift", abs(approx.norm() - 1.0), 1e-9)
     record("energy_drift", abs(expectation(ham, approx) - expectation(ham, psi)), 1e-9)

@@ -172,26 +172,6 @@ class Loop:
         """Cyclic rotation of the sample indices (a parametrization gauge shift)."""
         return Loop(np.roll(self.points, -int(k), axis=0), winding=self.winding)
 
-    def is_simple(self):
-        """Check embeddedness by a sweep over x-sorted segments."""
-        pts = self.points
-        n = self.n
-        a = pts
-        b = np.roll(pts, -1, axis=0)
-        lo = np.minimum(a[:, 0], b[:, 0])
-        hi = np.maximum(a[:, 0], b[:, 0])
-        order = np.argsort(lo, kind="stable")
-        active = []
-        for idx in order:
-            active = [j for j in active if hi[j] >= lo[idx]]
-            for j in active:
-                if _adjacent(idx, j, n):
-                    continue
-                if _segments_cross(a[idx], b[idx], a[j], b[j]):
-                    return False
-            active.append(idx)
-        return True
-
     @classmethod
     def circle(cls, radius, center=(0.0, 0.0), n=64, orientation=1):
         s = grid(n)
@@ -231,26 +211,6 @@ class Loop:
     @classmethod
     def from_dict(cls, data):
         return cls(np.asarray(data["points"], dtype=float), winding=data.get("winding"))
-
-
-def _adjacent(i, j, n):
-    return i == j or (i + 1) % n == j or (j + 1) % n == i
-
-
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _segments_cross(p1, p2, q1, q2):
-    d1 = _cross2(q2 - q1, p1 - q1)
-    d2 = _cross2(q2 - q1, p2 - q1)
-    d3 = _cross2(p2 - p1, q1 - p1)
-    d4 = _cross2(p2 - p1, q2 - p1)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    return False
 
 
 def winding_numbers(loop, surface):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _step_count
+
 KAPPA_QM = 1.0
 
 HERMITIAN_TOL = 1e-13
@@ -66,9 +68,6 @@ class HermitianObservable:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def apply(self, psi):
-        return self.matrix @ psi
 
 
 def _inner(phi, psi):
@@ -168,9 +167,12 @@ def measure_kappa(n=4, instances=100, seed=0, hbar=1.0):
 
 
 def schrodinger_flow_rk4(op, psi, t_final, h):
-    """Classical RK4 integration of the Schrodinger field."""
+    """Classical RK4 integration of the Schrodinger field; negative h integrates backwards.
+
+    The step count is the flows' rule: steps of length |h| to reach |t_final|.
+    """
     state = psi.amplitudes.copy()
-    steps = int(round(t_final / h))
+    steps = _step_count(t_final, h)
     mat = -1j / psi.hbar * op.matrix
 
     def rhs(v):

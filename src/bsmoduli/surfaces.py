@@ -181,22 +181,6 @@ class SymplecticSurface:
             self._prequantization_number = lx * ly * float(np.mean(self.density(xg, yg)))
         return self._prequantization_number
 
-    def check_potential(self, n_samples=64, h=1e-5, seed=0):
-        """Max |curl(alpha) - w| over random sample points (finite differences)."""
-        rng = np.random.default_rng(seed)
-        if self.kind == "torus":
-            xs = rng.uniform(0.1, self.periods[0] - 0.1, n_samples)
-            ys = rng.uniform(0.1, self.periods[1] - 0.1, n_samples)
-        else:
-            xs = rng.uniform(-2.0, 2.0, n_samples)
-            ys = rng.uniform(-2.0, 2.0, n_samples)
-        _, ay_xp = self.potential_values(xs + h, ys)
-        _, ay_xm = self.potential_values(xs - h, ys)
-        ax_yp, _ = self.potential_values(xs, ys + h)
-        ax_ym, _ = self.potential_values(xs, ys - h)
-        curl = (ay_xp - ay_xm) / (2 * h) - (ax_yp - ax_ym) / (2 * h)
-        return float(np.max(np.abs(curl - self.density(xs, ys))))
-
 
 def _require_positive_density(w):
     if np.any(w <= 0.0):

@@ -32,6 +32,19 @@ def run(command, config, tmp_path, extra=()):
     return main([command, "--config", str(path), "--out", str(tmp_path), *extra])
 
 
+def run_module(command, config_text, tmp_path):
+    """Run ``python -m bsmoduli.cli`` in a fresh process on a config given as JSON text."""
+    path = tmp_path / "cfg.json"
+    path.write_text(config_text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "bsmoduli.cli", command, "--config", str(path),
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def read_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -123,6 +136,7 @@ class TestExitCodes:
         ("bracket-check", "bracket_check.json", "loops", ["circle"], "loop"),
         ("bracket-check", "bracket_check.json", "surface", "plane", "surface"),
         ("flow", "flow_moduli.json", "density", "uniform", "density"),
+        ("bs-scan", "bs_scan.json", "loop", [1, 2], "loop"),
     ])
     def test_non_object_spec_is_config_error(self, tmp_path, capsys, command, path, key,
                                              value, what):
@@ -286,6 +300,63 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert '"scale"' in err and '"2*x"' in err
         assert not (tmp_path / "bracket_check.csv").exists()
+
+    @pytest.mark.parametrize("periods", [[1], None, [1.0, float("inf")]])
+    def test_torus_periods_must_be_two_finite_numbers(self, tmp_path, capsys, periods):
+        cfg = json.loads((CONFIG_DIR / "bs_scan.json").read_text())
+        cfg["surface"] = {"kind": "torus", "periods": periods}
+        assert run("bs-scan", cfg, tmp_path) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "bsq: config error: torus surface requires periods [Lx, Ly], "
+            f"two finite numbers, got {periods!r}\n"
+        )
+        assert not (tmp_path / "bs_scan.csv").exists()
+
+    def test_matching_potential_passes_the_curl_check(self, tmp_path):
+        cfg = {
+            "surface": {"kind": "torus", "periods": [2.0, 2.0],
+                        "omega_density": "1+0.5*cos(2*pi*x)",
+                        "potential": ["0", "x+sin(2*pi*x)/(4*pi)"]},
+            "n_samples": 64,
+            "loop": {"type": "circle", "center": [1.0, 1.0]},
+            "radii": {"start": 0.2, "stop": 0.6, "count": 5},
+        }
+        assert run("bs-scan", cfg, tmp_path) == EXIT_OK
+        assert len(read_rows(tmp_path / "bs_scan.csv")) == 5
+
+    def test_mismatched_potential_is_config_error(self, tmp_path, capsys):
+        # curl of (0, x) is 1, not w
+        cfg = {
+            "surface": {"kind": "torus", "periods": [2.0, 1.0],
+                        "omega_density": "1+0.5*cos(pi*x)", "potential": ["0", "x"]},
+            "n_samples": 64,
+            "loop": {"type": "circle", "center": [1.0, 0.5]},
+            "radii": {"start": 0.1, "stop": 0.4, "count": 4},
+        }
+        assert run("bs-scan", cfg, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "potential does not match omega_density: relative curl defect" in err
+        defect = float(re.search(r"= (\S+) exceeds", err).group(1))
+        assert 0.3 < defect < 0.34
+        assert not (tmp_path / "bs_scan.csv").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"step": 0}', "step must be nonzero"),
+        ('{"t_final": 1e400}', "t_final must be finite, got inf"),
+    ])
+    def test_qm_check_bad_step_is_a_config_error(self, tmp_path, text, message):
+        out = run_module("qm-check", text, tmp_path)
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr == f"bsq: config error: {message}\n"
+        assert not (tmp_path / "qm_check.csv").exists()
+
+    def test_qm_check_negative_step_flows_backwards(self, tmp_path):
+        out = run_module("qm-check", '{"step": -0.001}', tmp_path)
+        assert out.returncode == EXIT_OK, out.stderr
+        rows = {row["check"]: row for row in read_rows(tmp_path / "qm_check.csv")}
+        # 1000 backward RK4 steps, compared with the exact flow at t = -1
+        assert float(rows["flow_vs_exponential"]["value"]) <= 1e-8
+        assert all(row["status"] == "pass" for row in rows.values())
 
 
 class TestReports:

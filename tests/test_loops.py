@@ -19,9 +19,8 @@ from bsmoduli import (
     loop_derivative,
     project_to_bs,
     resample,
-    trig_resample,
-    winding_numbers,
 )
+from bsmoduli.loops import trig_resample, winding_numbers
 from conftest import expr
 
 
@@ -104,14 +103,6 @@ class TestLoopValidation:
         pts[5] = pts[4]
         with pytest.raises(DegenerateLoop):
             Loop(pts)
-
-    def test_simplicity_flags(self):
-        assert Loop.circle(1.0, n=64).is_simple()
-        s = np.arange(64) / 64
-        figure_eight = np.stack(
-            [np.sin(4 * np.pi * s), np.sin(2 * np.pi * s)], axis=1
-        )
-        assert not Loop(figure_eight).is_simple()
 
     def test_points_are_frozen(self):
         loop = Loop.circle(1.0, n=32)

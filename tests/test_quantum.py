@@ -15,12 +15,11 @@ from bsmoduli import (
     decompose_inner,
     exact_flow,
     expectation,
-    hamilton_identity_residual,
     measure_kappa,
     projective_critical_check,
-    schrodinger_field,
     schrodinger_flow_rk4,
 )
+from bsmoduli.quantum import hamilton_identity_residual, schrodinger_field
 
 
 def random_hermitian(rng, n):

@@ -7,13 +7,13 @@ from bsmoduli import (
     ExpressionError,
     ScalarField,
     SymplecticSurface,
-    field_is_periodic,
     hamiltonian_vector_field,
     poisson_bracket,
     poisson_bracket_field,
     rotate90,
     tangential_normal_split,
 )
+from bsmoduli.surfaces import field_is_periodic
 from conftest import expr
 
 
@@ -268,19 +268,6 @@ class TestTangentialSplit:
 
 
 class TestSurfaces:
-    def test_default_potentials_have_correct_curl(self):
-        assert SymplecticSurface.plane().check_potential() < 1e-8
-        assert SymplecticSurface.torus(2.0, 1.0).check_potential() < 1e-8
-
-    def test_custom_density_potential_curl(self):
-        w = expr("1 + 0.5*sin(x)")
-        surface = SymplecticSurface.plane(
-            omega_density=w,
-            potential=(lambda x, y: np.zeros_like(np.asarray(x, float)),
-                       lambda x, y: np.asarray(x, float) - 0.5 * np.cos(x)),
-        )
-        assert surface.check_potential() < 1e-8
-
     def test_density_positive_guard_is_callers_problem_but_wraps_work(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
         wrapped = torus.wrap(np.array([[2.5, -0.25], [-0.5, 1.75]]))

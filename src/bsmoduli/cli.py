@@ -20,10 +20,8 @@ Commands:
                      holonomy
 
 Exit codes: 0 pass, 1 usage error, 2 config error, 3 numeric failure.
-The environment variable BSQ_THREADS caps the number of worker threads used
-for independent instances (default 1; a value that is not a positive integer
-is a config error); outputs are written in instance order, so results are
-byte-identical for a given config and seed.
+Instances run one after another and outputs are written in instance order,
+so results are byte-identical for a given config and seed.
 
 Scalar fields in configs are expression strings over the grammar:
 identifiers ``x``, ``y``; numeric literals and ``pi``; operators
@@ -48,8 +46,6 @@ import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -109,17 +105,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def max_workers():
-    raw = os.environ.get("BSQ_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"BSQ_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _format(value):
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -134,7 +119,7 @@ def _write_atomic(path, text):
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = f"{os.path.abspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
@@ -314,7 +299,6 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
             'bracket-check no longer takes "scale": scale the field expressions '
             'instead, e.g. "2*x" for x'
         )
-    workers = max_workers()
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-6)
     counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 512)])]
     surface = build_surface(config.get("surface"))
@@ -333,25 +317,23 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
                 point = ModuliPoint(surface, loop, theta)
                 instances.append((loop_label(lspec, li), density_label(dspec, di), point))
 
-    def run_instance(item):
-        label_l, label_d, point = item
-        n = point.n
+    rows = []
+    singular_rows = []
+    for label_l, label_d, point in instances:
         om = omega_matrix(point)
-        singular = []
         if config.get("dump_singular_values", False):
             for idx, value in enumerate(np.sort(om.singular_values())[::-1]):
-                singular.append(
+                singular_rows.append(
                     {"loop": label_l, "density": label_d, "index": idx, "sigma_k": float(value)}
                 )
-        out = []
         for (fs, gs), rep in zip(pairs, bracket_reports(field_pairs, point, om=om)):
-            out.append(
+            rows.append(
                 {
                     "f": fs,
                     "g": gs,
                     "loop": label_l,
                     "density": label_d,
-                    "n": n,
+                    "n": point.n,
                     "matrix": rep["matrix"],
                     "closed_form": rep["closed_form"],
                     "target": rep["target"],
@@ -360,16 +342,6 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
                     "status": "pass" if rep["rel_spread"] <= tol else "fail",
                 }
             )
-        return out, singular
-
-    workers = min(workers, max(1, len(instances)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_instance, instances))
-    else:
-        chunks = [run_instance(item) for item in instances]
-    rows = [row for chunk, _ in chunks for row in chunk]
-    singular_rows = [row for _, singular in chunks for row in singular]
 
     columns = ["f", "g", "loop", "density", "n", "matrix", "closed_form",
                "target", "sigma", "rel_spread", "status"]
@@ -558,6 +530,10 @@ def cmd_qm_check(config, out_dir, seed, tolerance):
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
     n = int(config.get("dimension", 4))
     instances = int(config.get("instances", 100))
+    if n < 2:
+        raise ConfigError(f'"dimension" must be at least 2, got {n}')
+    if instances < 1:
+        raise ConfigError(f'"instances" must be at least 1, got {instances}')
     hbar = float(config.get("hbar", 1.0))
     t_final = float(config.get("t_final", 1.0))
     step = float(config.get("step", 1e-3))

@@ -21,12 +21,14 @@ The AST is a nested tuple: ``('const', v)``, ``('var', 'x')``,
 
 A tree is evaluated by translating it once into Python source, one
 assignment per node in the order a recursive walk visits them, and
-compiling that into a function ``(x, y) -> tuple of values``.  The numpy
-namespace (``np.power``, ``np.sin``, ``np.cos``) serves ``evaluate`` and
-batches; the point namespace runs on Python floats for one point of a
-classical flow and gives the same bits.  The generator emits only the
-grammar's operators and functions, the names x and y, integer exponents and
-constants bound by name, so nothing from a tree is pasted into the source.
+compiling that into a function ``(x, y) -> tuple of values``.  A
+``ScalarField`` compiles its value and gradient trees on first use and keeps
+the kernels; ``evaluate`` serves any other tree.  The numpy namespace
+(``np.power``, ``np.sin``, ``np.cos``) serves arrays; the point namespace
+runs on Python floats for one point of a classical flow and gives the same
+bits.  The generator emits only the grammar's operators and functions, the
+names x and y, integer exponents and constants bound by name, so nothing
+from a tree is pasted into the source.
 """
 
 import functools
@@ -257,11 +259,11 @@ def _compile(nodes, scalar):
 
     ``scalar`` picks the namespace: math on Python floats for one point,
     numpy for arrays.  The cache key is the trees' marshal bytes, which tell
-    0.0 from -0.0 where tuple equality does not.  32 entries hold every tree
-    a command evaluates over and over (a bracket-check instance has 14);
-    more only keep the compiled code of fields no longer in use.  Constants
-    are bound by name, so trees that differ only in their constants (a new
-    field of the same form) share one code object.
+    0.0 from -0.0 where tuple equality does not.  A field keeps the kernels
+    it compiles, so the 32 entries serve ``evaluate``, the flows' kernels and
+    new fields of trees seen before.  Constants are bound by name, so trees
+    that differ only in their constants (a new field of the same form) share
+    one code object.
     """
     try:
         key = marshal.dumps(nodes, 2)
@@ -313,20 +315,9 @@ def _code(source):
     return namespace["kernel"].__code__
 
 
-# Numpy kernels of the trees evaluate saw last, by identity, so the tree a
-# field holds is found without marshalling it.  An entry holds its tree, so
-# no other object can take that id while the entry lives.
-_BY_ID = {}
-
-
 def evaluate(node, x, y):
     """Evaluate the AST with numpy broadcasting over x, y: one call of its compiled numpy kernel."""
-    hit = _BY_ID.get(id(node))
-    if hit is None or hit[0] is not node:
-        if len(_BY_ID) >= 32:
-            _BY_ID.clear()
-        hit = _BY_ID[id(node)] = (node, _compile((node,), False))
-    return hit[1](x, y)[0]
+    return _compile((node,), False)(x, y)[0]
 
 
 def differentiate(node, var):

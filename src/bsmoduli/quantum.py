@@ -147,7 +147,15 @@ def bracket_commutator_check(op_f, op_k, psi):
 
 
 def measure_kappa(n=4, instances=100, seed=0, hbar=1.0):
-    """Ratio lhs/rhs over random instances; returns (mean, max deviation)."""
+    """Ratio lhs/rhs over random instances; returns (mean, max deviation).
+
+    Needs n >= 2, as observables of dimension 1 commute and give no ratio,
+    and at least one instance.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     ratios = []
     while len(ratios) < instances:

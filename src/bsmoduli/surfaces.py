@@ -11,6 +11,7 @@ of f is the unique X_f with i_{X_f} omega = df, i.e.
     X_f = (f_y / w, -f_x / w),      {f, g} = df(X_g) = (f_x g_y - f_y g_x) / w.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class ScalarField:
 
     Values and both partial derivatives broadcast over numpy arrays; the two
     gradient trees are differentiated and simplified once, at construction.
+    The value kernel and the one kernel of both partials are compiled on
+    first use and kept by the field; a field pickles as its tree.
     """
 
     ast: tuple
@@ -37,15 +40,27 @@ class ScalarField:
         object.__setattr__(self, "_dx", ex.simplify(ex.differentiate(self.ast, "x")))
         object.__setattr__(self, "_dy", ex.simplify(ex.differentiate(self.ast, "y")))
 
+    def __reduce__(self):
+        return ScalarField, (self.ast,)
+
+    @functools.cached_property
+    def _value_kernel(self):
+        return ex._compile((self.ast,), False)
+
+    @functools.cached_property
+    def _grad_kernel(self):
+        return ex._compile((self._dx, self._dy), False)
+
     @staticmethod
-    def _eval(node, x, y):
-        return np.broadcast_arrays(ex.evaluate(node, x, y), x, y)[0] * 1.0
+    def _broadcast(value, x, y):
+        return np.broadcast_arrays(value, x, y)[0] * 1.0
 
     def __call__(self, x, y):
-        return self._eval(self.ast, x, y)
+        return self._broadcast(self._value_kernel(x, y)[0], x, y)
 
     def grad(self, x, y):
-        return self._eval(self._dx, x, y), self._eval(self._dy, x, y)
+        fx, fy = self._grad_kernel(x, y)
+        return self._broadcast(fx, x, y), self._broadcast(fy, x, y)
 
     @classmethod
     def from_expression(cls, text):
@@ -219,15 +234,16 @@ class CompatibleStructure:
 def _field_and_density(f, surface, p):
     """X_f at p and the density w it was divided by; w is 1.0 on a unit-density surface.
 
-    The gradient trees are evaluated straight into one output array; dividing
-    by a unit density would be the identity, so it is skipped.
+    One call of f's gradient kernel fills one output array; dividing by a
+    unit density would be the identity, so it is skipped.
     """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
     out = np.empty(p.shape)
-    out[..., 1] = ex.evaluate(f._dx, x, y)
+    fx, fy = f._grad_kernel(x, y)
+    out[..., 1] = fx
     np.negative(out[..., 1], out=out[..., 1])
-    out[..., 0] = ex.evaluate(f._dy, x, y)
+    out[..., 0] = fy
     if surface.omega_density is None:
         return out, 1.0
     w = surface.density(x, y)

@@ -32,7 +32,7 @@ def run(command, config, tmp_path, extra=()):
     return main([command, "--config", str(path), "--out", str(tmp_path), *extra])
 
 
-def run_module(command, config_text, tmp_path):
+def run_module(command, config_text, tmp_path, timeout=120):
     """Run ``python -m bsmoduli.cli`` in a fresh process on a config given as JSON text."""
     path = tmp_path / "cfg.json"
     path.write_text(config_text)
@@ -41,7 +41,7 @@ def run_module(command, config_text, tmp_path):
         [sys.executable, "-m", "bsmoduli.cli", command, "--config", str(path),
          "--out", str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -161,14 +161,6 @@ class TestExitCodes:
             "densities": [{"type": "cosine"}],
         }
         assert run("bracket-check", cfg, tmp_path) == EXIT_NUMERIC
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_invalid_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("BSQ_THREADS", value)
-        cfg = {"pairs": [["x", "y"]], "loops": [{"type": "circle", "radius": 0.5}], "n_samples": 32}
-        assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
-        assert repr(value) in capsys.readouterr().err
-        assert not (tmp_path / "bracket_check.csv").exists()
 
     def test_numeric_failure_from_geometry(self, tmp_path):
         cfg = {
@@ -350,6 +342,19 @@ class TestExitCodes:
         assert out.stderr == f"bsq: config error: {message}\n"
         assert not (tmp_path / "qm_check.csv").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        # one-dimensional observables commute, so no instance gives a kappa ratio
+        ('{"dimension": 1}', '"dimension" must be at least 2, got 1'),
+        ('{"dimension": 0}', '"dimension" must be at least 2, got 0'),
+        ('{"instances": 0}', '"instances" must be at least 1, got 0'),
+    ])
+    def test_qm_check_degenerate_size_is_a_config_error(self, tmp_path, text, message):
+        out = run_module("qm-check", text, tmp_path, timeout=60)
+        assert out.returncode == EXIT_CONFIG
+        # the whole of stderr, so no RuntimeWarning leaked before the error
+        assert out.stderr == f"bsq: config error: {message}\n"
+        assert not (tmp_path / "qm_check.csv").exists()
+
     def test_qm_check_negative_step_flows_backwards(self, tmp_path):
         out = run_module("qm-check", '{"step": -0.001}', tmp_path)
         assert out.returncode == EXIT_OK, out.stderr
@@ -496,30 +501,6 @@ class TestDeterminism:
                 "--out", str(out),
             ]) == EXIT_OK
         assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
-
-    def test_threaded_run_matches_serial(self, tmp_path):
-        cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
-        cfg["n_samples"] = 64
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        serial = tmp_path / "serial"
-        threaded = tmp_path / "threaded"
-        serial.mkdir()
-        threaded.mkdir()
-        old = os.environ.get("BSQ_THREADS")
-        try:
-            os.environ["BSQ_THREADS"] = "1"
-            main(["bracket-check", "--config", str(path), "--out", str(serial)])
-            os.environ["BSQ_THREADS"] = "4"
-            main(["bracket-check", "--config", str(path), "--out", str(threaded)])
-        finally:
-            if old is None:
-                os.environ.pop("BSQ_THREADS", None)
-            else:
-                os.environ["BSQ_THREADS"] = old
-        assert (serial / "bracket_check.csv").read_bytes() == (
-            threaded / "bracket_check.csv"
-        ).read_bytes()
 
     @pytest.mark.parametrize("pair_count", [1, 5])
     def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bsmoduli import ExpressionError
+from bsmoduli import ExpressionError, ScalarField, SymplecticSurface, hamiltonian_vector_field
 from bsmoduli import expressions as ex
 
 
@@ -128,7 +128,16 @@ def test_point_and_array_kernels_are_bitwise_equal(text):
                 continue
             assert type(value) is float
             assert np.float64(value).tobytes() == array[i].tobytes(), (x[i], y[i])
+        # a field's one gradient kernel and X_f give what each partial's own tree gives
+        field = ScalarField(tree)
+        dx = np.broadcast_to(ex.evaluate(field._dx, x, y), x.shape)
+        dy = np.broadcast_to(ex.evaluate(field._dy, x, y), x.shape)
+        gx, gy = field.grad(x, y)
+        xf = hamiltonian_vector_field(field, SymplecticSurface.plane(), np.stack([x, y], -1))
     assert array.tobytes() == oracle.tobytes()
+    assert (gx.tobytes(), gy.tobytes()) == (dx.tobytes(), dy.tobytes())
+    assert xf[:, 0].tobytes() == dy.tobytes()
+    assert xf[:, 1].tobytes() == np.negative(dx).tobytes()
 
 
 def test_signed_zero_constants_are_kept_apart():

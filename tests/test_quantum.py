@@ -246,6 +246,15 @@ class TestBracketCommutator:
         mean_2, _ = measure_kappa(n=3, instances=20, seed=2, hbar=0.25)
         assert mean_1 == pytest.approx(mean_2, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 1}, "n must be at least 2, got 1"),
+        ({"instances": 0}, "instances must be at least 1, got 0"),
+    ])
+    def test_degenerate_sizes_are_rejected(self, kwargs, message):
+        # at n = 1 every commutator vanishes, so no instance gives a ratio
+        with pytest.raises(ValueError, match=message):
+            measure_kappa(**kwargs)
+
 
 class TestValidation:
     def test_non_hermitian_rejected(self):

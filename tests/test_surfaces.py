@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bsmoduli import (
     rotate90,
     tangential_normal_split,
 )
+from bsmoduli import expressions as ex
 from bsmoduli.surfaces import field_is_periodic
 from conftest import expr
 
@@ -372,6 +375,32 @@ class TestScalarField:
         f = ScalarField.from_expression("x*y + 2")
         assert f == ScalarField(f.ast)
         assert ScalarField.constant(3).ast == ("const", 3.0)
+
+    def test_fields_keep_their_kernels(self, monkeypatch, plane):
+        # more live fields than the compile cache holds trees: a second sweep compiles nothing
+        fields = [expr(f"{k + 1}*x^2*y+sin({k + 2}*x-y)") for k in range(40)]
+        p = np.array([[0.3, -0.2], [1.1, 0.7]])
+
+        def sweep():
+            for f in fields:
+                hamiltonian_vector_field(f, plane, p)
+                f(p[:, 0], p[:, 1])
+
+        sweep()
+        calls = []
+        compile_ = ex._compile
+        monkeypatch.setattr(ex, "_compile", lambda *args: calls.append(args) or compile_(*args))
+        sweep()
+        assert calls == []
+
+    def test_evaluated_field_pickles_as_its_tree(self, plane):
+        f = expr("x*y+0.3*x^2")
+        p = np.array([[0.3, -0.2], [1.1, 0.7]])
+        before = hamiltonian_vector_field(f, plane, p), f(p[:, 0], p[:, 1])
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f
+        after = hamiltonian_vector_field(copy, plane, p), copy(p[:, 0], p[:, 1])
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
     def test_power_exponent_checks(self):
         with pytest.raises(ExpressionError):

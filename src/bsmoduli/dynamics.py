@@ -4,19 +4,24 @@ Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
 a closed-form 2x2 solve.  The Newton runs on the coordinates (x, y): Python
 floats for one point, (M,) arrays for a batch, with X_f and DX_f compiled
-once per flow into functions of (x, y).  Moduli trajectories use classical
-RK4 on the pair (loop points, weight values), with the stage velocity given
-by the Hamiltonian field of the induced observable realized as a normal
-displacement field.  That velocity comes from one array kernel,
-``_stage_velocity``, which builds no loop, weight or moduli-point objects and
-makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
-stack of (u theta0^2)' and f1'.  Each requested step is split into equal RK4
-substeps short enough for the flow's advection speed (``RK4_STABLE_Z``),
-sized from the first stage's tangential coefficient.  After every requested
-step the weight is renormalized to unit volume and the loop re-projected
-onto its integer level, starting from the action integral that also gives
-the logged level defect; both corrections track the integrator's own local
-error and are logged.
+once per flow into functions of (x, y); on a unit-density surface the field
+keeps the trees of DX_f, so a second flow of it builds none.  Moduli
+trajectories use classical RK4 on the pair (loop points, weight values),
+with the stage velocity given by the Hamiltonian field of the induced
+observable realized as a normal displacement field.  That velocity comes
+from one array kernel, ``_stage_velocity``, which builds no loop, weight or
+moduli-point objects and makes two spectral-derivative calls per stage: the
+tangent, then one (N, 2) stack of (u theta0^2)' and f1'.  Its array helpers
+are written for few numpy calls (cached derivative multipliers, preallocated
+(N, 2) arrays, |gamma'|^2 taken once) with the arithmetic of their plain
+numpy forms, in the same order, so their results are bit for bit those
+forms'.  Each requested step is split into equal RK4 substeps short enough
+for the flow's advection speed (``RK4_STABLE_Z``), sized from the first
+stage's tangential coefficient.  After every requested step the weight is
+renormalized to unit volume and the loop re-projected onto its integer
+level, starting from the action integral that also gives the logged level
+defect; both corrections track the integrator's own local error and are
+logged.
 """
 
 import math
@@ -38,10 +43,10 @@ from .loops import (
 from .moduli import ModuliPoint, _require_pointwise_dual
 from .observables import evaluate_F
 from .surfaces import (
+    _coefficient_and_speed2,
     _field_and_density,
     _field_jacobian,
     _require_positive_density,
-    tangential_coefficient,
 )
 
 # RK4 is stable on the imaginary axis up to |z| = 2*sqrt(2); substeps keep the
@@ -90,11 +95,12 @@ def _kernels(f, surface, scalar):
 
     X_f = (f_y / w, -f_x / w), with the division and the positivity guard of
     w only on a weighted surface; ``scalar`` compiles for Python floats, else
-    for (M,) arrays.
+    for (M,) arrays.  On a unit-density surface the field keeps the trees of
+    DX_f, so they are built once per field, not once per flow.
     """
     w = surface.omega_density
     field = ex._compile((f._dy, f._dx) + (() if w is None else (w.ast,)), scalar)
-    jacobian = ex._compile(_field_jacobian(f, surface), scalar)
+    jacobian = ex._compile(f._unit_jacobian if w is None else _field_jacobian(f, surface), scalar)
     if scalar:
         field, jacobian = _guarded(field), _guarded(jacobian)
 
@@ -220,30 +226,35 @@ def _stage_velocity(field, surface, points, theta):
     depend on (u theta^2)', so both derivatives run as one call on an (N, 2)
     stack: two spectral derivative calls per stage, the tangent included.
     The density is evaluated once, for the Hamiltonian field and the normal
-    displacement.  The guards (gap floor, density positivity, tangent floor,
-    pairing floor) are the helpers Loop, hamiltonian_vector_field,
-    tangential_coefficient and sharp run.
+    displacement, and |gamma'|^2 once, for u and the normal displacement.
+    The guards (gap floor, density positivity, tangent floor, pairing floor)
+    are the helpers Loop, hamiltonian_vector_field, tangential_coefficient and
+    sharp run.
     """
     _require_gaps(points)
     tan = loop_derivative(points)
     xf, w = _field_and_density(field, surface, points)
-    u = tangential_coefficient(xf, tan)
+    u, speed2 = _coefficient_and_speed2(xf, tan)
     _require_pointwise_dual(theta)
     th2 = theta**2
-    x, y = points[:, 0], points[:, 1]
-    raw_f = (2.0 * np.asarray(field(x, y), dtype=float) * theta) / theta
+    raw_f = (2.0 * np.asarray(field(points[:, 0], points[:, 1]), dtype=float) * theta) / theta
     vol = integrate_density(th2)
-    f1 = raw_f - integrate_density(raw_f * th2) / vol
-    derivs = loop_derivative(np.stack([u * th2, f1], axis=1))
+    stack = np.empty(points.shape)
+    np.multiply(u, th2, out=stack[:, 0])
+    np.subtract(raw_f, integrate_density(raw_f * th2) / vol, out=stack[:, 1])
+    derivs = loop_derivative(stack)
     raw_t = derivs[:, 0] / theta
     t1 = raw_t - integrate_density(theta * raw_t) / vol * theta
-    coeff = derivs[:, 1] / (w * np.sum(tan * tan, axis=1))
-    nu = coeff[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=1)
+    coeff = derivs[:, 1] / (w * speed2)
+    nu = np.empty(points.shape)
+    np.negative(tan[:, 1], out=nu[:, 0])
+    nu[:, 1] = tan[:, 0]
+    np.multiply(coeff[:, None], nu, out=nu)
     return nu, t1, u
 
 
 def _all_finite(*arrays):
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _rk4_step(field, surface, pts, th, h, k1):
@@ -304,7 +315,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
         try:
             with np.errstate(all="ignore"):
                 nu, t1, u = _stage_velocity(f, surface, pts, th)
-                z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.max(np.abs(u)))
+                z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.abs(u).max())
                 m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
                 for j in range(m):
                     if j:

@@ -13,6 +13,7 @@ level iff A is an integer (on the plane with unit density, A is the signed
 enclosed area).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,11 +35,15 @@ def grid(n):
     return np.arange(n) / float(n)
 
 
-@lru_cache(maxsize=8)
-def _derivative_multiplier(n):
-    """Spectral multipliers 2 pi i k of the rfft modes of n samples, Nyquist zeroed."""
+@lru_cache(maxsize=16)
+def _derivative_multiplier(n, ndim):
+    """Spectral multipliers 2 pi i k of the rfft modes of n samples, Nyquist zeroed.
+
+    Shaped to broadcast along axis 0 of an ndim-dimensional input, and read-only.
+    """
     mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     mult[-1] = 0.0
+    mult = mult.reshape((-1,) + (1,) * (ndim - 1))
     mult.setflags(write=False)
     return mult
 
@@ -54,16 +59,18 @@ def loop_derivative(u):
     n = u.shape[0]
     if n % 2 != 0:
         raise ValueError("loop_derivative requires an even number of samples")
-    mult = _derivative_multiplier(n)
     spec = np.fft.rfft(u, axis=0)
-    if u.ndim > 1:
-        mult = mult.reshape((-1,) + (1,) * (u.ndim - 1))
-    return np.fft.irfft(spec * mult, n=n, axis=0)
+    spec *= _derivative_multiplier(n, u.ndim)
+    return np.fft.irfft(spec, n=n, axis=0)
 
 
 def integrate_density(d):
-    """Rectangle rule on the uniform periodic grid: mean of the samples."""
-    return float(np.mean(np.asarray(d, dtype=float)))
+    """Rectangle rule on the uniform periodic grid: mean of the samples.
+
+    The sum and the division np.mean makes, without its wrapper.
+    """
+    d = np.asarray(d, dtype=float)
+    return float(d.sum() / d.size)
 
 
 def trig_resample(u, m):
@@ -99,7 +106,7 @@ class HalfDensity:
         values = np.array(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("half-density values must be a 1D array")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("half-density values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -134,9 +141,16 @@ class HalfDensity:
 
 
 def _require_gaps(pts):
-    """Raise DegenerateLoop when two consecutive samples of a closed (N, 2) curve nearly coincide."""
-    gaps = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
-    if np.min(gaps) <= GAP_FLOOR:
+    """Raise DegenerateLoop when two consecutive samples of a closed (N, 2) curve nearly coincide.
+
+    The gaps wrap around, last sample to first; sqrt is monotone, so the
+    smallest gap is the root of the smallest squared gap.
+    """
+    d = np.empty(pts.shape)
+    np.subtract(pts[1:], pts[:-1], out=d[:-1])
+    np.subtract(pts[0], pts[-1], out=d[-1])
+    d *= d
+    if math.sqrt(np.add(d[:, 0], d[:, 1]).min()) <= GAP_FLOOR:
         raise DegenerateLoop("consecutive loop samples closer than 1e-12")
 
 
@@ -150,7 +164,7 @@ class Loop:
         n = pts.shape[0]
         if n < MIN_SAMPLES or n % 2 != 0:
             raise ValueError(f"loop needs an even number of samples, at least {MIN_SAMPLES}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("loop points must be finite")
         _require_gaps(pts)
         self.points = pts

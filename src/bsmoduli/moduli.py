@@ -264,7 +264,7 @@ def omega_matrix(p):
 
 def _require_pointwise_dual(th):
     """Raise SingularPairing when theta0 comes within SINGULAR_FLOOR of zero on the grid."""
-    floor = float(np.min(np.abs(th)))
+    floor = float(np.abs(th).min())
     if floor < SINGULAR_FLOOR:
         raise SingularPairing(f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}")
 

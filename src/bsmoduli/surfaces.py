@@ -51,8 +51,17 @@ class ScalarField:
     def _grad_kernel(self):
         return ex._compile((self._dx, self._dy), False)
 
+    @functools.cached_property
+    def _unit_jacobian(self):
+        """The trees of DX_f on a unit-density surface (``_field_jacobian``), built on first use."""
+        return _field_jacobian(self, SymplecticSurface.plane())
+
     @staticmethod
     def _broadcast(value, x, y):
+        """A fresh copy of value, broadcast against x and y; np.float64 for a 0-d result."""
+        shape = np.shape(value)
+        if shape == np.shape(x) and shape == np.shape(y):
+            return np.multiply(value, 1.0)
         return np.broadcast_arrays(value, x, y)[0] * 1.0
 
     def __call__(self, x, y):
@@ -298,9 +307,23 @@ def tangential_normal_split(v, t):
 
 def tangential_coefficient(v, t):
     """Coefficient u with v_hor = u * t; raises DegenerateLoop when a tangent collapses."""
+    return _coefficient_and_speed2(v, t)[0]
+
+
+def _coefficient_and_speed2(v, t):
+    """(tangential_coefficient(v, t), |t|^2), the second for callers that divide by it too.
+
+    Both dot products are np.sum over the last axis written out.  That sum
+    starts from 0.0, so a sum of two -0.0 products is +0.0: the + 0.0 keeps
+    that (a sum of squares is never -0.0).
+    """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
-    tt = np.sum(t * t, axis=-1)
-    if np.min(tt) < TANGENT_FLOOR**2:
+    sq = t * t
+    tt = sq[..., 0] + sq[..., 1]
+    if tt.min() < TANGENT_FLOOR**2:
         raise DegenerateLoop("collapsed loop segment: tangent below 1e-14")
-    return np.sum(v * t, axis=-1) / tt
+    vt = v * t
+    dot = vt[..., 0] + vt[..., 1]
+    dot += 0.0
+    return dot / tt, tt

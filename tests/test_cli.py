@@ -492,15 +492,21 @@ class TestReports:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        for out in (out1, out2):
-            out.mkdir()
-            assert main([
-                "convergence", "--config", str(CONFIG_DIR / "convergence.json"),
-                "--out", str(out),
-            ]) == EXIT_OK
-        assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
+        # the moduli flow's second run reuses cached derivative multipliers and kernels
+        runs = [
+            ("convergence", "convergence.json", ["convergence.csv"]),
+            ("flow", "flow_moduli.json", ["flow_moduli.csv", "flow_moduli_snapshots.json"]),
+        ]
+        for command, config, outputs in runs:
+            out1 = tmp_path / command / "a"
+            out2 = tmp_path / command / "b"
+            for out in (out1, out2):
+                out.mkdir(parents=True)
+                assert main([
+                    command, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                ]) == EXIT_OK
+            for name in outputs:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("pair_count", [1, 5])
     def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):

@@ -242,6 +242,32 @@ class TestExactJacobian:
                            match=r"failed in step 1 of 1 \(t = 2\.0\): singular Newton system"):
             flow_classical(expr("x*y"), plane, [1.0, 1.0], 2.0, 2.0)
 
+    @pytest.mark.parametrize("p0", [(0.3, 0.1), [[0.3, 0.1], [-0.5, 0.4]]])
+    def test_a_field_keeps_its_unit_density_jacobian_trees(self, plane, monkeypatch, p0):
+        # the second flow of the same field on a unit-density surface builds no trees;
+        # a weighted surface still builds its own, and the bits do not change
+        f = expr("y^2/2-cos(x)")
+        first = flow_classical(f, plane, p0, 0.5, 0.01)
+        calls = []
+        build = surfaces._field_jacobian
+
+        def counted(field, surface):
+            calls.append(surface)
+            return build(field, surface)
+
+        monkeypatch.setattr(surfaces, "_field_jacobian", counted)
+        monkeypatch.setattr(dynamics, "_field_jacobian", counted)
+        second = flow_classical(f, plane, p0, 0.5, 0.01)
+        flow_classical(f, SymplecticSurface.torus(2 * np.pi, 2 * np.pi), p0, 0.5, 0.01)
+        assert calls == []
+        fresh = flow_classical(expr("y^2/2-cos(x)"), plane, p0, 0.5, 0.01)
+        assert len(calls) == 1
+        flow_classical(f, weighted_torus(), p0, 0.5, 0.01)
+        assert len(calls) == 2 and calls[1].omega_density is not None
+        for traj in (second, fresh):
+            assert traj.points.tobytes() == first.points.tobytes()
+            assert traj.values.tobytes() == first.values.tobytes()
+
 
 def gentle_point(plane, n=64):
     loop = project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane)
@@ -408,6 +434,40 @@ def oracle_stage(f, p):
     return _normal_displacement(p, h_field.fvec), h_field.tvec
 
 
+def pre_change_stage(field, surface, points, theta):
+    """The stage velocity (nu, t1, u) in the kernel's earlier formulas, its guards left out.
+
+    np.mean for the rectangle rule, np.sum for the dot products, np.stack for
+    the derivative input and the normal, and the derivative multiplier built
+    afresh and reshaped per call.
+    """
+    def mean(d):
+        return float(np.mean(np.asarray(d, dtype=float)))
+
+    def derivative(u):
+        n = u.shape[0]
+        mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+        mult[-1] = 0.0
+        mult = mult.reshape((-1,) + (1,) * (u.ndim - 1))
+        return np.fft.irfft(np.fft.rfft(u, axis=0) * mult, n=n, axis=0)
+
+    tan = derivative(points)
+    xf, w = surfaces._field_and_density(field, surface, points)
+    u = np.sum(xf * tan, axis=-1) / np.sum(tan * tan, axis=-1)
+    th2 = theta**2
+    x, y = points[:, 0], points[:, 1]
+    values = np.broadcast_arrays(field._value_kernel(x, y)[0], x, y)[0] * 1.0
+    raw_f = (2.0 * values * theta) / theta
+    vol = mean(th2)
+    f1 = raw_f - mean(raw_f * th2) / vol
+    derivs = derivative(np.stack([u * th2, f1], axis=1))
+    raw_t = derivs[:, 0] / theta
+    t1 = raw_t - mean(theta * raw_t) / vol * theta
+    coeff = derivs[:, 1] / (w * np.sum(tan * tan, axis=1))
+    nu = coeff[:, None] * np.stack([-tan[:, 1], tan[:, 0]], axis=1)
+    return nu, t1, u
+
+
 def relative_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -425,6 +485,24 @@ class TestStageKernel:
         assert relative_gap(nu, nu_ref) <= 1e-13
         assert relative_gap(t1, t1_ref) <= 1e-13
         assert relative_gap(u, tangential_hamiltonian_coefficient(f, p)) <= 1e-13
+
+    @pytest.mark.parametrize("surface_kind", ["plane", "torus"])
+    @pytest.mark.parametrize("text", ["x^2+y^2", "x*y+0.3*x^2", "2.5*sin(pi*x)*cos(pi*y)", "y"])
+    def test_bitwise_equal_to_pre_change_formulas(self, plane, surface_kind, text):
+        # at the point and at a perturbed RK4 stage state, as the flow calls it
+        surface = plane if surface_kind == "plane" else weighted_torus()
+        p = kernel_point(surface)
+        f = expr(text)
+        rng = np.random.default_rng(29)
+        states = [
+            (p.loop.points, p.theta.values),
+            (p.loop.points + 1e-3 * rng.standard_normal((64, 2)),
+             p.theta.values + 1e-3 * rng.standard_normal(64)),
+        ]
+        for points, theta in states:
+            got = dynamics._stage_velocity(f, surface, points, theta)
+            want = pre_change_stage(f, surface, points, theta)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_two_spectral_derivatives_per_stage(self, plane, monkeypatch):
         calls = []

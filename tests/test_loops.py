@@ -20,7 +20,8 @@ from bsmoduli import (
     project_to_bs,
     resample,
 )
-from bsmoduli.loops import trig_resample, winding_numbers
+from bsmoduli import loops
+from bsmoduli.loops import GAP_FLOOR, trig_resample, winding_numbers
 from conftest import expr
 
 
@@ -69,6 +70,30 @@ class TestLoopDerivative:
         assert np.allclose(got[:, 0], -2 * np.pi * np.sin(2 * np.pi * s), atol=1e-12)
         assert np.allclose(got[:, 1], 4 * np.pi * np.cos(4 * np.pi * s), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(64,), (64, 2), (32, 3, 2)])
+    def test_bitwise_equal_to_reshaped_multiplier(self, shape):
+        # oracle: the multiplier built afresh and reshaped for this call
+        u = np.random.default_rng(3).standard_normal(shape)
+        n = shape[0]
+        mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+        mult[-1] = 0.0
+        mult = mult.reshape((-1,) + (1,) * (u.ndim - 1))
+        want = np.fft.irfft(np.fft.rfft(u, axis=0) * mult, n=n, axis=0)
+        for _ in range(2):  # the second call reuses the cached multiplier
+            assert loop_derivative(u).tobytes() == want.tobytes()
+
+    def test_cached_multiplier_is_read_only(self):
+        loop_derivative(np.zeros((64, 2)))
+        mult = loops._derivative_multiplier(64, 2)
+        assert mult.shape == (33, 1)
+        with pytest.raises(ValueError):
+            mult[1] = 0.0
+
+
+def mean_oracle(d):
+    """The rectangle rule as np.mean computes it."""
+    return float(np.mean(np.asarray(d, dtype=float)))
+
 
 class TestIntegrateDensity:
     def test_unit(self):
@@ -87,6 +112,29 @@ class TestIntegrateDensity:
         got = integrate_density((1.5 + np.sin(2 * np.pi * s)) ** 2)
         assert got == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, -0.0, 0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [1.5, -0.0, np.inf, 2.0],
+        [-np.inf, 1.0, 0.0, -0.0],
+        [np.inf, -np.inf, 1.0, 2.0],
+        [np.nan, 1.0, -0.0, 3.0],
+        [1.0, -np.nan, np.inf, -0.0],
+    ])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    def test_bitwise_equal_to_numpy_mean(self, values, shape):
+        d = np.reshape(values, shape)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN in both forms
+            got, want = integrate_density(d), mean_oracle(d)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(128,), (64, 2), (7, 5, 2)])
+    def test_bitwise_equal_to_numpy_mean_on_random_samples(self, shape):
+        d = np.random.default_rng(5).standard_normal(shape)
+        assert np.float64(integrate_density(d)).tobytes() == np.float64(mean_oracle(d)).tobytes()
+        assert integrate_density(d.tolist()) == mean_oracle(d)
+
 
 class TestLoopValidation:
     def test_minimum_sample_count(self):
@@ -103,6 +151,28 @@ class TestLoopValidation:
         pts[5] = pts[4]
         with pytest.raises(DegenerateLoop):
             Loop(pts)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)])
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_gap_verdict_at_the_floor_matches_the_norm_formula(self, direction, steps):
+        # oracle: the smallest Euclidean gap from np.linalg.norm, compared with <= GAP_FLOOR
+        gap = GAP_FLOOR
+        for _ in range(abs(steps)):
+            gap = np.nextafter(gap, np.inf if steps > 0 else 0.0)
+        pts = Loop.circle(1.0, center=(-1.0, 0.0), n=32).points.copy()
+        pts[0] = (0.0, 0.0)
+        pts[1] = (gap * direction[0], gap * direction[1])
+        norms = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
+        rejected = bool(np.min(norms) <= GAP_FLOOR)
+        if direction[0] != 0.6:
+            assert rejected == (steps <= 0)  # exactly at the floor is degenerate
+        try:
+            loops._require_gaps(pts)
+        except DegenerateLoop as exc:
+            assert rejected
+            assert str(exc) == "consecutive loop samples closer than 1e-12"
+        else:
+            assert not rejected
 
     def test_points_are_frozen(self):
         loop = Loop.circle(1.0, n=32)

@@ -16,7 +16,7 @@ from bsmoduli import (
     tangential_normal_split,
 )
 from bsmoduli import expressions as ex
-from bsmoduli.surfaces import field_is_periodic
+from bsmoduli.surfaces import field_is_periodic, tangential_coefficient
 from conftest import expr
 
 
@@ -269,6 +269,25 @@ class TestTangentialSplit:
         with pytest.raises(DegenerateLoop):
             tangential_normal_split(np.array([1.0, 0.0]), np.array([0.0, 1e-15]))
 
+    @pytest.mark.parametrize("shape", [(64, 2), (6, 5, 2)])
+    def test_coefficient_bitwise_equal_to_summed_form(self, shape):
+        # oracle: both dot products as np.sum over the last axis, which starts
+        # from 0.0; in the first rows a plain v0*t0 + v1*t1 is -0.0 + -0.0
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(shape).reshape(-1, 2)
+        t = rng.standard_normal(shape).reshape(-1, 2)
+        v[:4] = [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]
+        t[:4] = [[1.5, 2.0], [-1.5, 2.0], [1.5, -2.0], [-1.5, -2.0]]
+        v[4:8] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+        t[4:8] = [[-1.5, -2.0], [-1.5, 2.0], [1.5, -2.0], [1.5, 2.0]]
+        v, t = v.reshape(shape), t.reshape(shape)
+        want = np.sum(v * t, axis=-1) / np.sum(t * t, axis=-1)
+        got = tangential_coefficient(v, t)
+        assert got.shape == want.shape == shape[:-1]
+        assert got.tobytes() == want.tobytes()  # signs of zero included
+        plain = (v[..., 0] * t[..., 0] + v[..., 1] * t[..., 1]).reshape(-1)[:8]
+        assert np.signbit(plain).any() and not np.signbit(want.reshape(-1)[:8]).any()
+
 
 class TestSurfaces:
     def test_density_positive_guard_is_callers_problem_but_wraps_work(self):
@@ -337,6 +356,45 @@ class TestScalarField:
             assert np.array_equal(value, f(*full))
             assert np.array_equal(gx, f.grad(*full)[0])
             assert np.array_equal(gy, f.grad(*full)[1])
+
+    @pytest.mark.parametrize("text", ["x", "y", "3", "x*y+0.3*x^2"])
+    @pytest.mark.parametrize("args", [
+        (0.5, -0.25),
+        (np.float64(0.5), -0.25),
+        (np.arange(4.0), np.linspace(-1.0, 1.0, 4)),
+        (np.arange(4.0), 0.5),
+        (0.5, np.arange(4.0)),
+        (np.arange(6.0).reshape(3, 2), np.ones((3, 2))),
+        (np.arange(3), np.arange(3)),
+    ])
+    def test_values_are_fresh_arrays_like_the_broadcast_form(self, text, args):
+        # oracle: the value and both partials broadcast against x and y, then times 1.0
+        f = expr(text)
+        x, y = args
+        raw = f._value_kernel(x, y)[0], *f._grad_kernel(x, y)
+        got = f(x, y), *f.grad(x, y)
+        for value, out in zip(raw, got):
+            want = np.broadcast_arrays(value, x, y)[0] * 1.0
+            assert type(out) is type(want)
+            assert np.shape(out) == np.shape(want) == np.broadcast_shapes(np.shape(x), np.shape(y))
+            assert np.asarray(out).dtype == np.float64
+            assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
+            for arg in (x, y, value):
+                assert out is not arg
+                assert not np.shares_memory(out, arg)
+
+    def test_float_arguments_give_numpy_floats(self):
+        f = expr("x*y+0.3*x^2")
+        assert type(f(0.5, -0.25)) is np.float64
+        assert all(type(g) is np.float64 for g in f.grad(0.5, -0.25))
+        assert type(expr("2")(0.5, -0.25)) is np.float64
+
+    def test_constant_field_broadcasts(self):
+        xs = np.arange(3.0)
+        value = expr("2")(xs, xs)
+        assert value.shape == (3,) and np.all(value == 2.0)
+        gx, gy = expr("2").grad(xs, 0.5)
+        assert gx.shape == gy.shape == (3,) and not gx.any() and not gy.any()
 
     def test_field_algebra(self, rng):
         f = expr("x + y")

@@ -4,24 +4,19 @@ Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
 a closed-form 2x2 solve.  The Newton runs on the coordinates (x, y): Python
 floats for one point, (M,) arrays for a batch, with X_f and DX_f compiled
-once per flow into functions of (x, y); on a unit-density surface the field
-keeps the trees of DX_f, so a second flow of it builds none.  Moduli
-trajectories use classical RK4 on the pair (loop points, weight values),
-with the stage velocity given by the Hamiltonian field of the induced
-observable realized as a normal displacement field.  That velocity comes
-from one array kernel, ``_stage_velocity``, which builds no loop, weight or
-moduli-point objects and makes two spectral-derivative calls per stage: the
-tangent, then one (N, 2) stack of (u theta0^2)' and f1'.  Its array helpers
-are written for few numpy calls (cached derivative multipliers, preallocated
-(N, 2) arrays, |gamma'|^2 taken once) with the arithmetic of their plain
-numpy forms, in the same order, so their results are bit for bit those
-forms'.  Each requested step is split into equal RK4 substeps short enough
-for the flow's advection speed (``RK4_STABLE_Z``), sized from the first
-stage's tangential coefficient.  After every requested step the weight is
-renormalized to unit volume and the loop re-projected onto its integer
-level, starting from the action integral that also gives the logged level
-defect; both corrections track the integrator's own local error and are
-logged.
+once per flow into functions of (x, y).  Moduli trajectories use classical
+RK4 on the pair (loop points, weight values), with the stage velocity given
+by the Hamiltonian field of the induced observable realized as a normal
+displacement field.  That velocity comes from one array kernel,
+``_stage_velocity``, which builds no loop, weight or moduli-point objects and
+makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
+stack of (u theta0^2)' and f1'.  Each requested step is split into equal RK4
+substeps short enough for the flow's advection speed (``RK4_STABLE_Z``),
+sized from the first stage's tangential coefficient.  After every requested
+step the weight is renormalized to unit volume and the loop re-projected
+onto its integer level, starting from the action integral that also gives
+the logged level defect; both corrections track the integrator's own local
+error and are logged.
 """
 
 import math
@@ -95,12 +90,11 @@ def _kernels(f, surface, scalar):
 
     X_f = (f_y / w, -f_x / w), with the division and the positivity guard of
     w only on a weighted surface; ``scalar`` compiles for Python floats, else
-    for (M,) arrays.  On a unit-density surface the field keeps the trees of
-    DX_f, so they are built once per field, not once per flow.
+    for (M,) arrays.
     """
     w = surface.omega_density
     field = ex._compile((f._dy, f._dx) + (() if w is None else (w.ast,)), scalar)
-    jacobian = ex._compile(f._unit_jacobian if w is None else _field_jacobian(f, surface), scalar)
+    jacobian = ex._compile(_field_jacobian(f, surface), scalar)
     if scalar:
         field, jacobian = _guarded(field), _guarded(jacobian)
 

@@ -51,11 +51,6 @@ class ScalarField:
     def _grad_kernel(self):
         return ex._compile((self._dx, self._dy), False)
 
-    @functools.cached_property
-    def _unit_jacobian(self):
-        """The trees of DX_f on a unit-density surface (``_field_jacobian``), built on first use."""
-        return _field_jacobian(self, SymplecticSurface.plane())
-
     @staticmethod
     def _broadcast(value, x, y):
         """A fresh copy of value, broadcast against x and y; np.float64 for a 0-d result."""

@@ -242,32 +242,6 @@ class TestExactJacobian:
                            match=r"failed in step 1 of 1 \(t = 2\.0\): singular Newton system"):
             flow_classical(expr("x*y"), plane, [1.0, 1.0], 2.0, 2.0)
 
-    @pytest.mark.parametrize("p0", [(0.3, 0.1), [[0.3, 0.1], [-0.5, 0.4]]])
-    def test_a_field_keeps_its_unit_density_jacobian_trees(self, plane, monkeypatch, p0):
-        # the second flow of the same field on a unit-density surface builds no trees;
-        # a weighted surface still builds its own, and the bits do not change
-        f = expr("y^2/2-cos(x)")
-        first = flow_classical(f, plane, p0, 0.5, 0.01)
-        calls = []
-        build = surfaces._field_jacobian
-
-        def counted(field, surface):
-            calls.append(surface)
-            return build(field, surface)
-
-        monkeypatch.setattr(surfaces, "_field_jacobian", counted)
-        monkeypatch.setattr(dynamics, "_field_jacobian", counted)
-        second = flow_classical(f, plane, p0, 0.5, 0.01)
-        flow_classical(f, SymplecticSurface.torus(2 * np.pi, 2 * np.pi), p0, 0.5, 0.01)
-        assert calls == []
-        fresh = flow_classical(expr("y^2/2-cos(x)"), plane, p0, 0.5, 0.01)
-        assert len(calls) == 1
-        flow_classical(f, weighted_torus(), p0, 0.5, 0.01)
-        assert len(calls) == 2 and calls[1].omega_density is not None
-        for traj in (second, fresh):
-            assert traj.points.tobytes() == first.points.tobytes()
-            assert traj.values.tobytes() == first.values.tobytes()
-
 
 def gentle_point(plane, n=64):
     loop = project_to_bs(Loop.ellipse(1.3, 0.8, n=n), plane)

@@ -505,7 +505,8 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
     rows = []
     for r in values:
         if circle:
-            loop = Loop.circle(r, center=tuple(spec.get("center", (0.0, 0.0))), n=n)
+            loop = Loop.circle(r, center=tuple(spec.get("center", (0.0, 0.0))), n=n,
+                               orientation=spec.get("orientation", 1))
         else:
             loop = Loop(center + r * (base.points - center), winding=base.winding)
         action = action_integral(loop, surface)

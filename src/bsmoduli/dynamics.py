@@ -13,10 +13,10 @@ makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
 stack of (u theta0^2)' and f1'.  Each requested step is split into equal RK4
 substeps short enough for the flow's advection speed (``RK4_STABLE_Z``),
 sized from the first stage's tangential coefficient.  After every requested
-step the weight is renormalized to unit volume and the loop re-projected
-onto its integer level, starting from the action integral that also gives
-the logged level defect; both corrections track the integrator's own local
-error and are logged.
+step ``moduli._retract``, the retraction ``realize_tangent`` uses too,
+renormalizes the weight to unit volume and re-projects the loop onto its
+integer level; both corrections track the integrator's own local error and
+are logged.
 """
 
 import math
@@ -27,15 +27,8 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import GeometryError, NewtonDivergence
-from .loops import (
-    HalfDensity,
-    Loop,
-    _defect_and_projection,
-    _require_gaps,
-    integrate_density,
-    loop_derivative,
-)
-from .moduli import ModuliPoint, _require_pointwise_dual
+from .loops import _require_gaps, integrate_density, loop_derivative
+from .moduli import ModuliPoint, _require_pointwise_dual, _retract
 from .observables import evaluate_F
 from .surfaces import (
     _coefficient_and_speed2,
@@ -152,7 +145,10 @@ def _step_count(t_final, h):
             raise ValueError(f"{key} must be finite, got {value!r}")
     if h == 0:
         raise ValueError("step must be nonzero")
-    return int(round(abs(t_final) / abs(h)))
+    ratio = abs(t_final) / abs(h)
+    if not math.isfinite(ratio):
+        raise ValueError(f"|t_final| / |step| must be finite, got {ratio!r}")
+    return int(round(ratio))
 
 
 def flow_classical(f, surface, p0, t_final, h):
@@ -247,22 +243,23 @@ def _stage_velocity(field, surface, points, theta):
     return nu, t1, u
 
 
-def _all_finite(*arrays):
-    return all(np.isfinite(a).all() for a in arrays)
+def _require_finite(*arrays):
+    """The arrays, once all are finite; GeometryError otherwise."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise GeometryError("diverged, state is not finite")
+    return arrays
 
 
 def _rk4_step(field, surface, pts, th, h, k1):
-    """One classical RK4 step from its first-stage velocity k1; None once a stage state is not finite."""
+    """One RK4 step from its first-stage velocity k1; GeometryError once a state is not finite."""
     kp, kt = k1
     sum_p, sum_t = kp.copy(), kt.copy()
     for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        stage_p, stage_t = pts + c * h * kp, th + c * h * kt
-        if not _all_finite(stage_p, stage_t):
-            return None
+        stage_p, stage_t = _require_finite(pts + c * h * kp, th + c * h * kt)
         kp, kt, _ = _stage_velocity(field, surface, stage_p, stage_t)
         sum_p += weight * kp
         sum_t += weight * kt
-    return pts + (h / 6.0) * sum_p, th + (h / 6.0) * sum_t
+    return _require_finite(pts + (h / 6.0) * sum_p, th + (h / 6.0) * sum_t)
 
 
 def flow_moduli(f, p0, t_final, h, snapshot_every=0):
@@ -278,11 +275,12 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     stage of the step.  Records per step: time, F_f, pre-renormalization
     volume defect, pre-projection level defect, and a CRC32 state checksum.
     Snapshots of the full state are kept every ``snapshot_every`` steps when
-    positive.  Each step runs under ``np.errstate(all="ignore")``; a state or
-    a volume that stops being finite raises GeometryError, and every
-    GeometryError of a step (SingularPairing, DegenerateLoop, AreaTooSmall
-    and the like) is re-raised as its own type with a message naming the
-    step, its time, its RK4 substep count and the cause.
+    positive.  The flow runs under ``np.errstate(all="ignore")``; a state
+    that stops being finite, a z with no int64 substep count, or a raw volume
+    ``moduli._retract`` rejects raises GeometryError, and every GeometryError
+    of a step (SingularPairing, DegenerateLoop, AreaTooSmall and the like) is
+    re-raised as its own type with a message naming the step, its time, its
+    RK4 substep count and the cause.
     """
     surface = p0.surface
     steps = _step_count(t_final, h)
@@ -294,51 +292,45 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     f_vals = np.empty(steps + 1)
     vol_defects = np.zeros(steps + 1)
     level_defects = np.zeros(steps + 1)
-    substeps = np.zeros(steps, dtype=int)
+    substeps = np.zeros(steps, dtype=np.int64)
     checksums = []
     snapshots = []
 
-    current = ModuliPoint(surface, p0.loop, p0.theta, strict=False)
-    f_vals[0] = evaluate_F(f, current)
-    checksums.append(_loop_checksum(pts, th))
-    if snapshot_every > 0:
-        snapshots.append((0.0, current))
+    with np.errstate(all="ignore"):
+        current = ModuliPoint(surface, p0.loop, p0.theta, strict=False)
+        f_vals[0] = evaluate_F(f, current)
+        checksums.append(_loop_checksum(pts, th))
+        if snapshot_every > 0:
+            snapshots.append((0.0, current))
 
-    for i in range(steps):
-        m = 0
-        try:
-            with np.errstate(all="ignore"):
+        for i in range(steps):
+            m = 0
+            try:
                 nu, t1, u = _stage_velocity(f, surface, pts, th)
                 z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.abs(u).max())
+                if not z / RK4_STABLE_Z < 2.0**63:  # NaN too; below 2^63 the count fits int64
+                    raise GeometryError(f"RK4 substep count out of range (z = {z!r})")
                 m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
                 for j in range(m):
                     if j:
                         nu, t1, _ = _stage_velocity(f, surface, pts, th)
-                    state = _rk4_step(f, surface, pts, th, h / m, (nu, t1))
-                    if state is None or not _all_finite(*state):
-                        raise GeometryError("diverged, state is not finite")
-                    pts, th = state
-                raw_theta = HalfDensity(th)
-                volume = raw_theta.volume()
-                if not math.isfinite(volume):
-                    raise GeometryError("diverged, state is not finite")
-                defect, loop = _defect_and_projection(Loop(pts, winding=winding), surface)
-                theta = raw_theta.normalized()
-        except GeometryError as exc:
-            where = f"{m} RK4 substeps" if m else "first RK4 stage"
-            raise type(exc)(
-                f"moduli flow failed in step {i + 1} of {steps} "
-                f"(t = {float(times[i + 1])!r}, {where}): {exc}"
-            ) from exc
-        vol_defects[i + 1] = abs(volume - 1.0)
-        level_defects[i + 1] = abs(defect)
-        pts, th = loop.points, theta.values
+                    pts, th = _rk4_step(f, surface, pts, th, h / m, (nu, t1))
+                loop, theta, volume, defect = _retract(surface, pts, th, winding)
+            except GeometryError as exc:
+                where = f"{m} RK4 substeps" if m else "first RK4 stage"
+                raise type(exc)(
+                    f"moduli flow failed in step {i + 1} of {steps} "
+                    f"(t = {float(times[i + 1])!r}, {where}): {exc}"
+                ) from exc
+            vol_defects[i + 1] = abs(volume - 1.0)
+            level_defects[i + 1] = abs(defect)
+            pts, th = loop.points, theta.values
 
-        current = ModuliPoint(surface, loop, theta, strict=False)
-        f_vals[i + 1] = evaluate_F(f, current)
-        checksums.append(_loop_checksum(pts, th))
-        if snapshot_every > 0 and (i + 1) % snapshot_every == 0:
-            snapshots.append((times[i + 1], current))
+            current = ModuliPoint(surface, loop, theta, strict=False)
+            f_vals[i + 1] = evaluate_F(f, current)
+            checksums.append(_loop_checksum(pts, th))
+            if snapshot_every > 0 and (i + 1) % snapshot_every == 0:
+                snapshots.append((times[i + 1], current))
 
     return ModuliTrajectory(
         times=times,

@@ -166,13 +166,26 @@ def parse(text):
 
 
 def _fold(tag, a, b):
-    if tag == "add":
-        return a + b
-    if tag == "sub":
-        return a - b
-    if tag == "mul":
-        return a * b
-    return a / b
+    """a op b for two constants, ``b`` an integer exponent for "pow".
+
+    Where Python float arithmetic raises (a division by zero, including 0^-k,
+    or a power that overflows) this raises ExpressionError instead; sums and
+    products that overflow give inf, as the grammar's inf constants do.
+    """
+    try:
+        if tag == "add":
+            return a + b
+        if tag == "sub":
+            return a - b
+        if tag == "mul":
+            return a * b
+        if tag == "div":
+            return a / b
+        return a**b
+    except ZeroDivisionError:
+        raise ExpressionError("division by a constant zero") from None
+    except OverflowError:
+        raise ExpressionError(f"constant {a!r}^{b!r} overflows") from None
 
 
 def constant_value(node):
@@ -190,7 +203,7 @@ def constant_value(node):
         return _fold(tag, a, b)
     if tag == "pow":
         a = constant_value(node[1])
-        return None if a is None else a ** node[2]
+        return None if a is None else _fold("pow", a, node[2])
     a = constant_value(node[1])
     if a is None:
         return None
@@ -226,7 +239,7 @@ def linear_coefficients(node):
         if cb is None:
             return None
         la = linear_coefficients(node[1])
-        return None if la is None else tuple(v / cb for v in la)
+        return None if la is None else tuple(_fold("div", v, cb) for v in la)
     if tag == "pow":
         if node[2] == 0:
             return (0.0, 0.0, 1.0)
@@ -359,7 +372,11 @@ def differentiate(node, var):
 
 
 def simplify(node):
-    """Constant folding plus elimination of additive/multiplicative units."""
+    """Constant folding plus elimination of additive/multiplicative units.
+
+    A division by a constant zero, or a constant that does not fold
+    (``_fold``), raises ExpressionError.
+    """
     tag = node[0]
     if tag in ("const", "var"):
         return node
@@ -368,7 +385,9 @@ def simplify(node):
         b = simplify(node[2])
         ca = a[1] if a[0] == "const" else None
         cb = b[1] if b[0] == "const" else None
-        if ca is not None and cb is not None and not (tag == "div" and cb == 0.0):
+        if tag == "div" and cb == 0.0:
+            raise ExpressionError("division by a constant zero")
+        if ca is not None and cb is not None:
             return ("const", _fold(tag, ca, cb))
         if tag == "add":
             if ca == 0.0:
@@ -394,7 +413,7 @@ def simplify(node):
         if node[2] == 1:
             return a
         if a[0] == "const":
-            return ("const", a[1] ** node[2])
+            return ("const", _fold("pow", a[1], node[2]))
         return ("pow", a, node[2])
     a = simplify(node[1])
     if a[0] == "const":

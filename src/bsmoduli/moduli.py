@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateLoop, SingularPairing
+from .errors import DegenerateLoop, GeometryError, SingularPairing
 from .loops import (
     BS_TOL,
     HalfDensity,
@@ -328,22 +328,35 @@ def _normal_displacement(p, fvec):
     return coeff[:, None] * normal
 
 
+def _retract(surface, points, theta, winding):
+    """The moduli point of a raw state, as (loop, theta / sqrt(volume), volume, level defect).
+
+    The loop is projected onto its integer level; the raw volume <theta^2> is
+    taken once, and one that is not finite and positive raises GeometryError.
+    """
+    loop = Loop(points, winding=winding)
+    volume = integrate_density(theta**2)
+    if not np.isfinite(volume):
+        raise GeometryError("diverged, state is not finite")
+    if volume <= 0:
+        raise GeometryError("cannot normalize a half-density with zero volume")
+    defect, loop = _defect_and_projection(loop, surface)
+    return loop, HalfDensity(theta / np.sqrt(volume)), volume, defect
+
+
 def realize_tangent(p, v, t, return_report=False):
     """Displace a moduli point along a tangent vector by parameter t.
 
     Loop points move by t * nu with nu the normal field of v.fvec; the weight
     moves by t * v.tvec.  The result is renormalized to unit volume and
-    re-projected onto its integer level; both corrections are second order in
-    t and are returned when return_report is set.
+    re-projected onto its integer level (``_retract``); both corrections are
+    second order in t and are returned when return_report is set.
     """
-    new_pts = p.loop.points + t * _normal_displacement(p, v.fvec)
-    moved = Loop(new_pts, winding=p.loop.winding)
-    raw_theta = HalfDensity(p.theta.values + t * v.tvec)
-    volume_defect = abs(raw_theta.volume() - 1.0)
-    level_defect, projected = _defect_and_projection(moved, p.surface)
-    out = ModuliPoint(p.surface, projected, raw_theta.normalized(), strict=p.strict)
+    moved = p.loop.points + t * _normal_displacement(p, v.fvec), p.theta.values + t * v.tvec
+    loop, theta, volume, level_defect = _retract(p.surface, *moved, p.loop.winding)
+    out = ModuliPoint(p.surface, loop, theta, strict=p.strict)
     if return_report:
-        return out, {"volume_defect": volume_defect, "bs_defect": abs(level_defect)}
+        return out, {"volume_defect": abs(volume - 1.0), "bs_defect": abs(level_defect)}
     return out
 
 

@@ -68,3 +68,22 @@ def random_tangent(point, rng):
 
 def expr(text):
     return ScalarField.from_expression(text)
+
+
+def weighted_torus():
+    """The 2 x 2 torus with density 1 + cos(2 pi x)/2 and its matching potential."""
+    return SymplecticSurface.torus(
+        2.0, 2.0, omega_density=expr("1+0.5*cos(2*pi*x)"),
+        potential=(expr("0"), expr("x+sin(2*pi*x)/(4*pi)")),
+    )
+
+
+def kernel_point(surface):
+    """A level-projected ellipse with a cosine weight, N = 64, on the plane or the torus."""
+    n = 64
+    if surface.kind == "torus":
+        loop = project_to_bs(Loop.ellipse(0.7, 0.5, center=(1.0, 1.0), n=n, angle=0.3), surface)
+    else:
+        loop = project_to_bs(Loop.ellipse(1.3, 0.8, center=(0.2, -0.1), n=n, angle=0.4), surface)
+    return ModuliPoint(surface, loop, HalfDensity.cosine_profile(n, 0.3, 2))
+

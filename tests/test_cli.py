@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsmoduli import ModuliPoint, cli, omega_matrix
+from bsmoduli import Loop, ModuliPoint, SymplecticSurface, action_integral, cli, omega_matrix
 from bsmoduli.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -21,6 +21,13 @@ from bsmoduli.cli import (
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+# A moduli flow whose field constant makes the RK4 substep count overflow.
+MODULI_OVERFLOW = (
+    '{"mode": "moduli", "field": "%s", "step": 0.01, "t_final": 0.02,'
+    ' "loop": {"type": "ellipse", "a": 1.3, "b": 0.8, "project": true}}'
+)
 
 
 def run(command, config, tmp_path, extra=()):
@@ -285,6 +292,46 @@ class TestExitCodes:
         assert re.search(r"step \d+ of 80 \(t = ", out.stderr)
         assert not (tmp_path / "flow_moduli.csv").exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("flow", '{"mode": "classical", "field": "x", "t_final": 1e300, "step": 1e-300}',
+         "config error: |t_final| / |step| must be finite, got inf"),
+        ("qm-check", '{"t_final": 1e300, "step": 1e-300}',
+         "config error: |t_final| / |step| must be finite, got inf"),
+        ("flow", MODULI_OVERFLOW % "1e300*x",
+         "numeric failure: moduli flow failed in step 1 of 2 (t = 0.01, first RK4 stage): "
+         "RK4 substep count out of range (z = 1.643658298568959e+300)"),
+        ("flow", MODULI_OVERFLOW % "1e400*x",
+         "numeric failure: moduli flow failed in step 1 of 2 (t = 0.01, first RK4 stage): "
+         "RK4 substep count out of range (z = nan)"),
+    ])
+    def test_counts_that_overflow_exit_with_a_message(self, tmp_path, command, text, message):
+        out = run_module(command, text, tmp_path)
+        # the whole of stderr: no traceback and no raw RuntimeWarning
+        assert out.stderr == f"bsq: {message}\n"
+        assert out.returncode == (EXIT_NUMERIC if "numeric" in message else EXIT_CONFIG)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, config, text, message", [
+        ("bracket-check", {"pairs": [["x/0", "y"]], "loops": [], "n_samples": 32}, "x/0",
+         "division by a constant zero"),
+        ("identity-check", {"pairs": [["x", "y/(2-2)"]], "loops": []}, "y/(2-2)",
+         "division by a constant zero"),
+        ("flow", {"mode": "classical", "field": "x/0"}, "x/0", "division by a constant zero"),
+        ("flow", {"mode": "classical", "field": "x+0^-1"}, "x+0^-1",
+         "division by a constant zero"),
+        ("flow", {"mode": "classical", "field": "x*1e200^2"}, "x*1e200^2",
+         "constant 1e+200^2 overflows"),
+        ("flow", {"mode": "classical", "field": "sin(x/0)"}, "sin(x/0)",
+         "division by a constant zero"),
+    ])
+    def test_constant_arithmetic_is_a_config_error(self, tmp_path, capsys, command, config,
+                                                   text, message):
+        assert run(command, config, tmp_path) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"bsq: config error: bad field expression {text!r}: {message}\n"
+        )
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_bracket_check_rejects_scale(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["scale"] = 2.0
@@ -419,6 +466,19 @@ class TestReports:
         for level in (1, 2, 3, 4):
             target = np.sqrt(level / np.pi)
             assert any(abs(r - target) < 0.01 for r in hits)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_bs_scan_keeps_the_circle_orientation(self, tmp_path, orientation):
+        cfg = {
+            "n_samples": 64,
+            "loop": {"type": "circle", "center": [0.2, -0.1], "orientation": orientation},
+            "radii": {"start": 0.5, "stop": 0.5, "count": 1},
+        }
+        assert run("bs-scan", cfg, tmp_path) == EXIT_OK
+        (row,) = read_rows(tmp_path / "bs_scan.csv")
+        loop = Loop.circle(0.5, center=(0.2, -0.1), n=64, orientation=orientation)
+        assert float(row["action"]) == action_integral(loop, SymplecticSurface.plane())
+        assert abs(float(row["action"]) - orientation * np.pi / 4) <= 1e-12
 
     def test_bs_scan_builds_its_base_loop_once(self, tmp_path, monkeypatch):
         calls = []

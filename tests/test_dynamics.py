@@ -7,6 +7,7 @@ import pytest
 
 from bsmoduli import (
     DegenerateLoop,
+    GeometryError,
     HalfDensity,
     Loop,
     ModuliPoint,
@@ -20,6 +21,7 @@ from bsmoduli import (
     flow_moduli,
     hamiltonian_field_H,
     loops,
+    moduli,
     project_to_bs,
 )
 from bsmoduli import expressions as ex
@@ -27,7 +29,7 @@ from bsmoduli import surfaces
 from bsmoduli.moduli import _normal_displacement
 from bsmoduli.observables import tangential_hamiltonian_coefficient
 from bsmoduli.cli import build_density, build_field, build_loop
-from conftest import expr, observed_orders
+from conftest import expr, kernel_point, observed_orders, weighted_torus
 
 FLOW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "flow_moduli.json"
 
@@ -100,6 +102,10 @@ class TestClassicalFlow:
     def test_non_finite_time_rejected(self, plane, t_final, h, key):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             flow_classical(expr("x*y"), plane, (1.0, 0.0), t_final, h)
+
+    def test_step_count_that_overflows_rejected(self, plane):
+        with pytest.raises(ValueError, match=r"^\|t_final\| / \|step\| must be finite, got inf$"):
+            flow_classical(expr("x"), plane, (1.0, 0.0), 1e300, -1e-300)
 
     @pytest.mark.parametrize("p0", [[-1.0, 0.0], [[1.0, 0.0], [0.0, 0.5]]])
     def test_nonpositive_density_is_a_value_error(self, p0):
@@ -271,6 +277,58 @@ class TestModuliFlow:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             flow_moduli(expr("x"), gentle_point(plane), t_final, h)
 
+    def test_step_count_that_overflows_rejected(self, plane):
+        with pytest.raises(ValueError, match=r"^\|t_final\| / \|step\| must be finite, got inf$"):
+            flow_moduli(expr("x"), gentle_point(plane), -1e300, 1e-300)
+
+    @pytest.mark.parametrize("text, z", [("1e300*x", "1.643658298568959e+300"), ("1e400*x", "nan")])
+    def test_substep_count_out_of_range_names_the_step(self, plane, text, z):
+        # 1e400 is inf, so F_f and u are NaN; neither warns (Tier-1 turns that into an error)
+        cfg = json.loads(FLOW_CONFIG.read_text())
+        p0 = ModuliPoint(plane, build_loop(cfg["loop"], 128, plane), HalfDensity.uniform(128))
+        with pytest.raises(GeometryError) as got:
+            flow_moduli(expr(text), p0, 0.02, 0.01)
+        assert str(got.value) == (
+            "moduli flow failed in step 1 of 2 (t = 0.01, first RK4 stage): "
+            f"RK4 substep count out of range (z = {z})"
+        )
+
+    def test_diverging_flow_names_the_step_and_its_substeps(self, plane):
+        cfg = json.loads(FLOW_CONFIG.read_text())
+        p0 = ModuliPoint(plane, build_loop(cfg["loop"], 128, plane), HalfDensity.uniform(128))
+        with pytest.raises(GeometryError) as got:
+            flow_moduli(expr("x^4+y^4"), p0, 1.0, 0.5)
+        assert type(got.value) is GeometryError
+        assert str(got.value) == (
+            "moduli flow failed in step 1 of 2 (t = 0.5, 318 RK4 substeps): "
+            "diverged, state is not finite"
+        )
+
+    def test_one_step_builds_one_weight_and_takes_one_volume(self, plane, monkeypatch):
+        p0 = gentle_point(plane)
+        built, volumes = [], []
+        init, volume, integral = HalfDensity.__init__, HalfDensity.volume, moduli.integrate_density
+
+        def counted_init(self, values):
+            built.append(1)
+            init(self, values)
+
+        def counted_volume(self):
+            volumes.append("HalfDensity.volume")
+            return volume(self)
+
+        def counted_integral(d):
+            volumes.append("_retract")
+            return integral(d)
+
+        monkeypatch.setattr(HalfDensity, "__init__", counted_init)
+        monkeypatch.setattr(HalfDensity, "volume", counted_volume)
+        monkeypatch.setattr(moduli, "integrate_density", counted_integral)
+        traj = flow_moduli(expr("x*y+0.3*x^2"), p0, 0.015, 5e-3)
+        assert len(traj.times) == 4
+        assert len(built) == 3
+        assert volumes == ["_retract"] * 3
+
     def test_constant_observable_is_stationary(self, plane):
         p0 = gentle_point(plane)
         traj = flow_moduli(expr("3"), p0, 0.1, 0.01, snapshot_every=5)
@@ -384,22 +442,6 @@ class TestModuliSubsteps:
         assert len(traj.substeps) == 20
         assert np.all(traj.substeps >= 2)
         assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-6
-
-
-def weighted_torus():
-    return SymplecticSurface.torus(
-        2.0, 2.0, omega_density=expr("1+0.5*cos(2*pi*x)"),
-        potential=(expr("0"), expr("x+sin(2*pi*x)/(4*pi)")),
-    )
-
-
-def kernel_point(surface):
-    n = 64
-    if surface.kind == "torus":
-        loop = project_to_bs(Loop.ellipse(0.7, 0.5, center=(1.0, 1.0), n=n, angle=0.3), surface)
-    else:
-        loop = project_to_bs(Loop.ellipse(1.3, 0.8, center=(0.2, -0.1), n=n, angle=0.4), surface)
-    return ModuliPoint(surface, loop, HalfDensity.cosine_profile(n, 0.3, 2))
 
 
 def oracle_stage(f, p):

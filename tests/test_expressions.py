@@ -48,6 +48,27 @@ def test_parse_errors(bad):
         ex.parse(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x/0", "division by a constant zero"),
+    ("y/(2-2)", "division by a constant zero"),
+    ("x+0^-1", "division by a constant zero"),
+    ("sin(x/0)", "division by a constant zero"),
+    ("cos(y*(1/0))", "division by a constant zero"),
+    ("x*1e200^2", "constant 1e+200^2 overflows"),
+])
+def test_constant_arithmetic_that_does_not_fold(text, message):
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        ScalarField.from_expression(text)
+
+
+@pytest.mark.parametrize("text, c", [("1e400*x", math.inf), ("1e308*10*x", math.inf),
+                                     ("x/(1-0.5)", 2.0)])
+def test_constants_that_fold_are_kept(text, c):
+    f = ScalarField.from_expression(text)
+    assert f(1.0, 2.0) == c
+    assert f.grad(1.0, 2.0)[0] == c
+
+
 def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(5)
     for text in ["x^2*y - y^3", "sin(2*x - y)*x", "x*y + cos(pi*y)", "(x+y)^4/3"]:

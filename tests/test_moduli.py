@@ -6,6 +6,8 @@ import scipy.integrate
 
 from bsmoduli import (
     Covector,
+    DegenerateLoop,
+    GeometryError,
     HalfDensity,
     Loop,
     ModuliPoint,
@@ -16,6 +18,7 @@ from bsmoduli import (
     differential_covector,
     flat,
     integrate_density,
+    moduli,
     omega,
     omega_matrix,
     project_tangent,
@@ -23,8 +26,16 @@ from bsmoduli import (
     realize_tangent,
     sharp,
 )
-from bsmoduli.moduli import dense_sharp
-from conftest import expr, observed_orders, random_tangent, smooth_tangent
+from bsmoduli.loops import _defect_and_projection
+from bsmoduli.moduli import _normal_displacement, _retract, dense_sharp
+from conftest import (
+    expr,
+    kernel_point,
+    observed_orders,
+    random_tangent,
+    smooth_tangent,
+    weighted_torus,
+)
 
 
 def division_sharp_oracle(p, ell):
@@ -326,6 +337,88 @@ class TestRealizeTangent:
             gaps.append(np.max(np.abs(q.loop.points - p.loop.points)))
         orders = observed_orders(gaps)
         assert np.all(orders >= 1.8)
+
+
+def oracle_retract(surface, points, theta, winding):
+    """The retraction in its earlier object form: volume, projection, then normalized()."""
+    raw = HalfDensity(theta)
+    volume = raw.volume()
+    defect, loop = _defect_and_projection(Loop(points, winding=winding), surface)
+    return loop, raw.normalized(), volume, defect
+
+
+def retraction_bytes(loop, theta, volume, defect):
+    return (loop.points.tobytes(), theta.values.tobytes(),
+            np.float64(volume).tobytes(), np.float64(defect).tobytes())
+
+
+def raw_states(p, seed=31):
+    rng = np.random.default_rng(seed)
+    for scale in (0.0, 1e-6, 1e-3):
+        yield (p.loop.points + scale * rng.standard_normal(p.loop.points.shape),
+               1.3 * p.theta.values + scale * rng.standard_normal(p.n))
+
+
+def surface_of(kind):
+    return SymplecticSurface.plane() if kind == "plane" else weighted_torus()
+
+
+class TestRetract:
+    @pytest.mark.parametrize("kind", ["plane", "torus"])
+    def test_bitwise_equal_to_the_object_form(self, kind):
+        surface = surface_of(kind)
+        p = kernel_point(surface)
+        for winding in (None, (0, 0)):
+            for points, theta in raw_states(p):
+                got = _retract(surface, points, theta, winding)
+                want = oracle_retract(surface, points, theta, winding)
+                assert retraction_bytes(*got) == retraction_bytes(*want)
+                assert got[0].winding == winding
+
+    @pytest.mark.parametrize("kind", ["plane", "torus"])
+    def test_realize_tangent_is_bitwise_the_object_form(self, kind):
+        surface = surface_of(kind)
+        p = kernel_point(surface)
+        v = smooth_tangent(p)
+        for t in (1e-3, -2.5e-2):
+            q, report = realize_tangent(p, v, t, return_report=True)
+            loop, theta, volume, defect = oracle_retract(
+                surface, p.loop.points + t * _normal_displacement(p, v.fvec),
+                p.theta.values + t * v.tvec, p.loop.winding,
+            )
+            assert q.loop.points.tobytes() == loop.points.tobytes()
+            assert q.theta.values.tobytes() == theta.values.tobytes()
+            assert report == {"volume_defect": abs(volume - 1.0), "bs_defect": abs(defect)}
+            assert q.strict
+
+    def test_zero_weight_is_a_geometry_error(self, ellipse_point):
+        p = ellipse_point
+        message = "cannot normalize a half-density with zero volume"
+        with pytest.raises(GeometryError, match=message):
+            _retract(p.surface, p.loop.points, np.zeros(p.n), None)
+        # the weight moves by -theta0: the raw weight is exactly zero
+        with pytest.raises(GeometryError, match=message):
+            realize_tangent(p, TangentVector(np.zeros(p.n), -p.theta.values), 1.0)
+
+    def test_overflowing_volume_is_a_geometry_error(self, ellipse_point):
+        p = ellipse_point
+        with np.errstate(over="ignore"), pytest.raises(
+            GeometryError, match="^diverged, state is not finite$"
+        ):
+            _retract(p.surface, p.loop.points, 1e200 * p.theta.values, None)
+
+    def test_checks_run_loop_then_volume_then_projection(self, plane, monkeypatch):
+        n = 64
+        points = Loop.circle(0.1, n=n).points  # |action| 0.03: the projection fails
+        gapped = points.copy()
+        gapped[1] = gapped[0]
+        with pytest.raises(DegenerateLoop):
+            _retract(plane, gapped, np.zeros(n), None)
+        calls = []
+        monkeypatch.setattr(moduli, "_defect_and_projection", lambda *a: calls.append(a))
+        with pytest.raises(GeometryError, match="zero volume"):
+            _retract(plane, points, np.zeros(n), None)
+        assert calls == []
 
 
 class TestClosedness:

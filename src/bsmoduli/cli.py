@@ -508,7 +508,7 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
             loop = Loop.circle(r, center=tuple(spec.get("center", (0.0, 0.0))), n=n,
                                orientation=spec.get("orientation", 1))
         else:
-            loop = Loop(center + r * (base.points - center), winding=base.winding)
+            loop = Loop(center + r * (base.points - center))
         action = action_integral(loop, surface)
         defect = bs_defect(loop, surface)
         rows.append(
@@ -655,13 +655,11 @@ COMMANDS = {
 
 def build_parser():
     parser = _Parser(prog="bsq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     return parser
 
 
@@ -681,7 +679,7 @@ def main(argv=None):
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"bsq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GeometryError, FloatingPointError) as exc:
+    except GeometryError as exc:
         print(f"bsq: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

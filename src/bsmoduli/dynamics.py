@@ -286,7 +286,6 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     steps = _step_count(t_final, h)
     pts = p0.loop.points
     th = p0.theta.values
-    winding = p0.loop.winding
 
     times = np.arange(steps + 1) * h
     f_vals = np.empty(steps + 1)
@@ -315,7 +314,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
                     if j:
                         nu, t1, _ = _stage_velocity(f, surface, pts, th)
                     pts, th = _rk4_step(f, surface, pts, th, h / m, (nu, t1))
-                loop, theta, volume, defect = _retract(surface, pts, th, winding)
+                loop, theta, volume, defect = _retract(surface, pts, th)
             except GeometryError as exc:
                 where = f"{m} RK4 substeps" if m else "first RK4 stage"
                 raise type(exc)(

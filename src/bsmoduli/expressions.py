@@ -162,7 +162,19 @@ def parse(text):
     """Parse ``text`` into an AST node, raising ExpressionError on bad input."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    return _unnested(_Parser(text).parse)
+
+
+def _unnested(walk, *args):
+    """walk(*args), with a RecursionError of its recursion raised as ExpressionError.
+
+    The recursive walks call themselves, not this guard, so it costs one frame
+    per walk and every tree Python's recursion limit admits still walks.
+    """
+    try:
+        return walk(*args)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
 def _fold(tag, a, b):
@@ -282,7 +294,7 @@ def _compile(nodes, scalar):
         key = marshal.dumps(nodes, 2)
     except ValueError as exc:
         raise ExpressionError(f"not an expression tree: {exc}") from None
-    return _compiled(key, scalar)
+    return _unnested(_compiled, key, scalar)
 
 
 @functools.lru_cache(maxsize=32)
@@ -334,27 +346,36 @@ def evaluate(node, x, y):
 
 
 def differentiate(node, var):
-    """Exact partial derivative of the AST with respect to 'x' or 'y'."""
+    """Exact partial derivative of the AST with respect to 'x' or 'y'.
+
+    A quotient by a constant c differentiates to a'/c, so c is never squared.
+    """
+    return _unnested(_differentiate, node, var)
+
+
+def _differentiate(node, var):
     tag = node[0]
     if tag == "const":
         return ("const", 0.0)
     if tag == "var":
         return ("const", 1.0 if node[1] == var else 0.0)
     if tag == "add" or tag == "sub":
-        return (tag, differentiate(node[1], var), differentiate(node[2], var))
+        return (tag, _differentiate(node[1], var), _differentiate(node[2], var))
     if tag == "mul":
         a, b = node[1], node[2]
         return (
             "add",
-            ("mul", differentiate(a, var), b),
-            ("mul", a, differentiate(b, var)),
+            ("mul", _differentiate(a, var), b),
+            ("mul", a, _differentiate(b, var)),
         )
     if tag == "div":
         a, b = node[1], node[2]
+        if constant_value(b) is not None:
+            return ("div", _differentiate(a, var), b)
         num = (
             "sub",
-            ("mul", differentiate(a, var), b),
-            ("mul", a, differentiate(b, var)),
+            ("mul", _differentiate(a, var), b),
+            ("mul", a, _differentiate(b, var)),
         )
         return ("div", num, ("pow", b, 2))
     if tag == "pow":
@@ -364,11 +385,11 @@ def differentiate(node, var):
         return (
             "mul",
             ("mul", ("const", float(k)), ("pow", a, k - 1)),
-            differentiate(a, var),
+            _differentiate(a, var),
         )
     if tag == "sin":
-        return ("mul", ("cos", node[1]), differentiate(node[1], var))
-    return ("mul", ("const", -1.0), ("mul", ("sin", node[1]), differentiate(node[1], var)))
+        return ("mul", ("cos", node[1]), _differentiate(node[1], var))
+    return ("mul", ("const", -1.0), ("mul", ("sin", node[1]), _differentiate(node[1], var)))
 
 
 def simplify(node):
@@ -377,12 +398,16 @@ def simplify(node):
     A division by a constant zero, or a constant that does not fold
     (``_fold``), raises ExpressionError.
     """
+    return _unnested(_simplify, node)
+
+
+def _simplify(node):
     tag = node[0]
     if tag in ("const", "var"):
         return node
     if tag in ("add", "sub", "mul", "div"):
-        a = simplify(node[1])
-        b = simplify(node[2])
+        a = _simplify(node[1])
+        b = _simplify(node[2])
         ca = a[1] if a[0] == "const" else None
         cb = b[1] if b[0] == "const" else None
         if tag == "div" and cb == 0.0:
@@ -407,7 +432,7 @@ def simplify(node):
             return a
         return (tag, a, b)
     if tag == "pow":
-        a = simplify(node[1])
+        a = _simplify(node[1])
         if node[2] == 0:
             return ("const", 1.0)
         if node[2] == 1:
@@ -415,7 +440,7 @@ def simplify(node):
         if a[0] == "const":
             return ("const", _fold("pow", a[1], node[2]))
         return ("pow", a, node[2])
-    a = simplify(node[1])
+    a = _simplify(node[1])
     if a[0] == "const":
         return ("const", math.sin(a[1]) if tag == "sin" else math.cos(a[1]))
     return (tag, a)

@@ -4,8 +4,8 @@ A loop is stored as N uniform samples gamma(s_i), s_i = i/N, of a smooth
 closed curve parametrized by the unit circle R/Z.  All derivatives are
 trigonometric-interpolation (spectral) derivatives, all integrals use the
 rectangle rule on the uniform grid, which is spectrally accurate for smooth
-periodic integrands.  On the torus the samples are a continuous lift; the
-winding numbers of the lift are recoverable from the wrap-around jump.
+periodic integrands.  A loop is its points: on the torus they are a
+continuous lift, and ``winding_numbers`` reads its winding from the lift.
 
 The level-set condition on a loop is phrased through the holonomy integral
 A(gamma) = loop integral of the potential alpha: the loop sits on an integer
@@ -157,7 +157,7 @@ def _require_gaps(pts):
 class Loop:
     """Closed discretized curve; orientation follows the sample order."""
 
-    def __init__(self, points, winding=None):
+    def __init__(self, points):
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("loop points must be an (N, 2) array")
@@ -169,7 +169,6 @@ class Loop:
         _require_gaps(pts)
         self.points = pts
         self.points.setflags(write=False)
-        self.winding = None if winding is None else (int(winding[0]), int(winding[1]))
 
     @property
     def n(self):
@@ -184,7 +183,7 @@ class Loop:
 
     def rolled(self, k):
         """Cyclic rotation of the sample indices (a parametrization gauge shift)."""
-        return Loop(np.roll(self.points, -int(k), axis=0), winding=self.winding)
+        return Loop(np.roll(self.points, -int(k), axis=0))
 
     @classmethod
     def circle(cls, radius, center=(0.0, 0.0), n=64, orientation=1):
@@ -217,14 +216,11 @@ class Loop:
         return cls(pts)
 
     def to_dict(self):
-        out = {"points": self.points.tolist()}
-        if self.winding is not None:
-            out["winding"] = list(self.winding)
-        return out
+        return {"points": self.points.tolist()}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(np.asarray(data["points"], dtype=float), winding=data.get("winding"))
+        return cls(np.asarray(data["points"], dtype=float))
 
 
 def winding_numbers(loop, surface):
@@ -251,7 +247,7 @@ def action_integral(loop, surface):
     signed enclosed area.  Torus loops must be contractible.
     """
     if surface.kind == "torus":
-        wind = loop.winding if loop.winding is not None else winding_numbers(loop, surface)
+        wind = winding_numbers(loop, surface)
         if wind != (0, 0):
             raise NonContractibleLoop(
                 f"holonomy undefined for winding {wind}: no canonical trivialization"
@@ -311,28 +307,30 @@ def _defect_and_projection(loop, surface):
         if abs(a - k) <= PROJECTION_TOL:
             return defect, projected
         scale = np.sqrt(k / a)
-        projected = Loop(center + scale * (projected.points - center), winding=loop.winding)
+        projected = Loop(center + scale * (projected.points - center))
         a = action_integral(projected, surface)
     raise GeometryError(f"level projection did not converge: residual {a - k:.3g}")
 
 
 def resample(loop, n_new, surface=None):
-    """Trigonometric resampling of the loop onto n_new uniform samples."""
+    """Trigonometric resampling of the loop onto n_new uniform samples.
+
+    A torus lift is resampled together with its surface, which fixes the
+    winding of its linear part; ``surface=None`` means the plane.
+    """
     if n_new < MIN_SAMPLES or n_new % 2 != 0:
         raise ValueError(f"resample target must be even and at least {MIN_SAMPLES}")
     pts = loop.points
-    wind = loop.winding
-    if wind is not None and wind != (0, 0):
-        if surface is None or surface.kind != "torus":
-            raise ValueError("resampling a wound loop requires its torus surface")
+    wind = (0, 0) if surface is None else winding_numbers(loop, surface)
+    if wind != (0, 0):
         lx, ly = surface.periods
         s_old = grid(loop.n)
         linear = np.stack([wind[0] * lx * s_old, wind[1] * ly * s_old], axis=1)
         periodic = trig_resample(pts - linear, n_new)
         s_new = grid(n_new)
         linear_new = np.stack([wind[0] * lx * s_new, wind[1] * ly * s_new], axis=1)
-        return Loop(periodic + linear_new, winding=wind)
-    return Loop(trig_resample(pts, n_new), winding=wind)
+        return Loop(periodic + linear_new)
+    return Loop(trig_resample(pts, n_new))
 
 
 def sample_diagnostics(loop):

@@ -1,7 +1,9 @@
 """Moduli space of half-weighted integer-level loops, at desk scale.
 
 A point is a pair (loop, theta) with the loop on an integer holonomy level
-and theta a half-density of unit volume.  Tangent vectors are pairs
+and theta a half-density of unit volume.  The loop's topological type is
+read from its points (``loops.winding_numbers``); on the torus only
+contractible loops have a level.  Tangent vectors are pairs
 (f1, theta1) of functions on the parameter circle obeying the two linear
 constraints
 
@@ -328,13 +330,13 @@ def _normal_displacement(p, fvec):
     return coeff[:, None] * normal
 
 
-def _retract(surface, points, theta, winding):
+def _retract(surface, points, theta):
     """The moduli point of a raw state, as (loop, theta / sqrt(volume), volume, level defect).
 
     The loop is projected onto its integer level; the raw volume <theta^2> is
     taken once, and one that is not finite and positive raises GeometryError.
     """
-    loop = Loop(points, winding=winding)
+    loop = Loop(points)
     volume = integrate_density(theta**2)
     if not np.isfinite(volume):
         raise GeometryError("diverged, state is not finite")
@@ -350,10 +352,13 @@ def realize_tangent(p, v, t, return_report=False):
     Loop points move by t * nu with nu the normal field of v.fvec; the weight
     moves by t * v.tvec.  The result is renormalized to unit volume and
     re-projected onto its integer level (``_retract``); both corrections are
-    second order in t and are returned when return_report is set.
+    second order in t and are returned when return_report is set.  The move
+    runs under ``np.errstate(all="ignore")``, so a state that overflows
+    raises GeometryError and no raw warning.
     """
-    moved = p.loop.points + t * _normal_displacement(p, v.fvec), p.theta.values + t * v.tvec
-    loop, theta, volume, level_defect = _retract(p.surface, *moved, p.loop.winding)
+    with np.errstate(all="ignore"):
+        moved = p.loop.points + t * _normal_displacement(p, v.fvec), p.theta.values + t * v.tvec
+        loop, theta, volume, level_defect = _retract(p.surface, *moved)
     out = ModuliPoint(p.surface, loop, theta, strict=p.strict)
     if return_report:
         return out, {"volume_defect": abs(volume - 1.0), "bs_defect": abs(level_defect)}

@@ -332,6 +332,18 @@ class TestExitCodes:
         )
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("text", ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400],
+                             ids=["sum", "parentheses"])
+    def test_too_deep_an_expression_is_a_config_error(self, tmp_path, text):
+        config = {"pairs": [[text, "y"]], "loops": [{"type": "circle", "radius": 0.5}]}
+        out = run_module("bracket-check", json.dumps(config), tmp_path)
+        # the whole of stderr: no traceback
+        assert out.stderr == (
+            f"bsq: config error: bad field expression {text!r}: expression nested too deeply\n"
+        )
+        assert out.returncode == EXIT_CONFIG
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_bracket_check_rejects_scale(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["scale"] = 2.0

@@ -177,3 +177,59 @@ def test_signed_zero_constants_are_kept_apart():
 def test_compiler_rejects_what_the_grammar_cannot_build(tree, message):
     with pytest.raises(ExpressionError, match=re.escape(message)):
         ex.evaluate(tree, 1.0, 2.0)
+
+
+def nested(depth):
+    """x + x + ... + x as a left-nested tree of the given depth."""
+    tree = ("var", "x")
+    for _ in range(depth):
+        tree = ("add", tree, ("var", "x"))
+    return tree
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: ex.parse("(" * 400 + "x" + ")" * 400),
+    lambda: ex.parse("sin(" * 300 + "x" + ")" * 300),
+    lambda: ex.simplify(nested(1200)),
+    lambda: ex.differentiate(nested(1200), "x"),
+    lambda: ex.evaluate(nested(1200), 1.0, 2.0),
+    lambda: ScalarField.from_expression("+".join(["x"] * 1200)),
+], ids=["parse", "parse-sin", "simplify", "differentiate", "compile", "field"])
+def test_too_deep_a_tree_is_an_expression_error(walk):
+    with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
+        walk()
+
+
+def test_deep_sums_still_build():
+    field = ScalarField.from_expression("+".join(["x"] * 400))
+    assert field.grad(1.0, 2.0) == (400.0, 0.0)
+    assert field(0.5, 2.0) == 200.0
+
+
+def quotient_rule(node, var):
+    """The derivative with the quotient rule at every division, constant divisors included."""
+    tag = node[0]
+    if tag in ("add", "sub"):
+        return (tag, quotient_rule(node[1], var), quotient_rule(node[2], var))
+    if tag == "div":
+        a, b = node[1], node[2]
+        num = ("sub", ("mul", quotient_rule(a, var), b), ("mul", a, ex.differentiate(b, var)))
+        return ("div", num, ("pow", b, 2))
+    return ex.differentiate(node, var)
+
+
+@pytest.mark.parametrize("text, dx", [("x/1e200", 1e-200), ("x/1e-200", 1e200)])
+def test_a_constant_divisor_is_never_squared(text, dx):
+    field = ScalarField.from_expression(text)
+    assert field._dx == ("const", dx)
+    assert field.grad(3.0, 4.0) == (dx, 0.0)
+
+
+@pytest.mark.parametrize("text", ["(x^2+y^2)/2", "y^2/2-cos(x)", "x/8-y/0.5"])
+def test_power_of_two_divisors_keep_the_quotient_rule_bits(text):
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-3.0, 3.0, (2, 10_000))
+    field = ScalarField.from_expression(text)
+    for var, got in zip("xy", field.grad(x, y)):
+        want = ex.evaluate(ex.simplify(quotient_rule(field.ast, var)), x, y)
+        assert np.broadcast_to(want, x.shape).tobytes() == got.tobytes()

@@ -335,6 +335,12 @@ class TestHalfDensity:
         assert np.max(np.abs(again.values - theta.values)) == 0.0
 
 
+def wound_lift():
+    """A 64-sample lift that winds once around the x period of the 2 x 1 torus."""
+    s = np.arange(64) / 64
+    return Loop(np.stack([2.0 * s, 0.5 + 0.1 * np.sin(2 * np.pi * s)], axis=1))
+
+
 class TestTorus:
     def test_contractible_action_matches_area(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
@@ -344,19 +350,14 @@ class TestTorus:
 
     def test_wound_loop_detected_and_rejected(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
-        s = np.arange(64) / 64
-        wound = Loop(np.stack([2.0 * s, 0.5 + 0.1 * np.sin(2 * np.pi * s)], axis=1))
+        wound = wound_lift()
         assert winding_numbers(wound, torus) == (1, 0)
         with pytest.raises(NonContractibleLoop):
             action_integral(wound, torus)
-
-    def test_declared_winding_honored(self):
-        torus = SymplecticSurface.torus(2.0, 1.0)
-        s = np.arange(64) / 64
-        pts = np.stack([2.0 * s, 0.5 + 0.1 * np.sin(2 * np.pi * s)], axis=1)
-        wound = Loop(pts, winding=(1, 0))
-        with pytest.raises(NonContractibleLoop):
+        with pytest.raises(NonContractibleLoop, match=r"winding \(1, 0\)"):
             bs_defect(wound, torus)
+        with pytest.raises(NonContractibleLoop):
+            project_to_bs(wound, torus)
 
     def test_integrality_required_for_levels(self):
         bad = SymplecticSurface.torus(1.5, 1.0)
@@ -387,10 +388,7 @@ class TestTorus:
 
     def test_resample_wound_loop(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
-        s = np.arange(64) / 64
-        wound = Loop(
-            np.stack([2.0 * s, 0.5 + 0.1 * np.sin(2 * np.pi * s)], axis=1), winding=(1, 0)
-        )
+        wound = wound_lift()
         fine = resample(wound, 128, surface=torus)
         assert winding_numbers(fine, torus) == (1, 0)
         assert np.max(np.abs(fine.points[::2] - wound.points)) < 1e-12
@@ -402,4 +400,10 @@ class TestLoopSerialization:
         data = json.loads(json.dumps(loop.to_dict()))
         again = Loop.from_dict(data)
         assert np.max(np.abs(again.points - loop.points)) == 0.0
-        assert again.winding == loop.winding
+        assert data == {"points": loop.points.tolist()}
+
+    def test_old_winding_key_is_ignored(self):
+        loop = Loop.perturbed_circle(1.0, n=32, harmonics=[(2, 0.1, 0.0)])
+        again = Loop.from_dict({"points": loop.points.tolist(), "winding": [1, 0]})
+        assert again.points.tobytes() == loop.points.tobytes()
+        assert again.to_dict() == loop.to_dict()

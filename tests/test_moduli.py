@@ -339,11 +339,11 @@ class TestRealizeTangent:
         assert np.all(orders >= 1.8)
 
 
-def oracle_retract(surface, points, theta, winding):
+def oracle_retract(surface, points, theta):
     """The retraction in its earlier object form: volume, projection, then normalized()."""
     raw = HalfDensity(theta)
     volume = raw.volume()
-    defect, loop = _defect_and_projection(Loop(points, winding=winding), surface)
+    defect, loop = _defect_and_projection(Loop(points), surface)
     return loop, raw.normalized(), volume, defect
 
 
@@ -368,12 +368,10 @@ class TestRetract:
     def test_bitwise_equal_to_the_object_form(self, kind):
         surface = surface_of(kind)
         p = kernel_point(surface)
-        for winding in (None, (0, 0)):
-            for points, theta in raw_states(p):
-                got = _retract(surface, points, theta, winding)
-                want = oracle_retract(surface, points, theta, winding)
-                assert retraction_bytes(*got) == retraction_bytes(*want)
-                assert got[0].winding == winding
+        for points, theta in raw_states(p):
+            got = _retract(surface, points, theta)
+            want = oracle_retract(surface, points, theta)
+            assert retraction_bytes(*got) == retraction_bytes(*want)
 
     @pytest.mark.parametrize("kind", ["plane", "torus"])
     def test_realize_tangent_is_bitwise_the_object_form(self, kind):
@@ -384,7 +382,7 @@ class TestRetract:
             q, report = realize_tangent(p, v, t, return_report=True)
             loop, theta, volume, defect = oracle_retract(
                 surface, p.loop.points + t * _normal_displacement(p, v.fvec),
-                p.theta.values + t * v.tvec, p.loop.winding,
+                p.theta.values + t * v.tvec,
             )
             assert q.loop.points.tobytes() == loop.points.tobytes()
             assert q.theta.values.tobytes() == theta.values.tobytes()
@@ -395,7 +393,7 @@ class TestRetract:
         p = ellipse_point
         message = "cannot normalize a half-density with zero volume"
         with pytest.raises(GeometryError, match=message):
-            _retract(p.surface, p.loop.points, np.zeros(p.n), None)
+            _retract(p.surface, p.loop.points, np.zeros(p.n))
         # the weight moves by -theta0: the raw weight is exactly zero
         with pytest.raises(GeometryError, match=message):
             realize_tangent(p, TangentVector(np.zeros(p.n), -p.theta.values), 1.0)
@@ -405,7 +403,14 @@ class TestRetract:
         with np.errstate(over="ignore"), pytest.raises(
             GeometryError, match="^diverged, state is not finite$"
         ):
-            _retract(p.surface, p.loop.points, 1e200 * p.theta.values, None)
+            _retract(p.surface, p.loop.points, 1e200 * p.theta.values)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_realize_tangent_is_a_geometry_error(self, ellipse_point):
+        p = ellipse_point
+        v = TangentVector(np.zeros(p.n), p.theta.values)
+        with pytest.raises(GeometryError, match="^diverged, state is not finite$"):
+            realize_tangent(p, v, 1e200)
 
     def test_checks_run_loop_then_volume_then_projection(self, plane, monkeypatch):
         n = 64
@@ -413,11 +418,11 @@ class TestRetract:
         gapped = points.copy()
         gapped[1] = gapped[0]
         with pytest.raises(DegenerateLoop):
-            _retract(plane, gapped, np.zeros(n), None)
+            _retract(plane, gapped, np.zeros(n))
         calls = []
         monkeypatch.setattr(moduli, "_defect_and_projection", lambda *a: calls.append(a))
         with pytest.raises(GeometryError, match="zero volume"):
-            _retract(plane, points, np.zeros(n), None)
+            _retract(plane, points, np.zeros(n))
         assert calls == []
 
 

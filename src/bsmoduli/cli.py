@@ -509,8 +509,9 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
                                orientation=spec.get("orientation", 1))
         else:
             loop = Loop(center + r * (base.points - center))
-        action = action_integral(loop, surface)
+        # the defect first: an action that is not finite raises there, with no raw warning
         defect = bs_defect(loop, surface)
+        action = action_integral(loop, surface)
         rows.append(
             {
                 "radius": float(r),

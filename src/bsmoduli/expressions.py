@@ -19,9 +19,11 @@ The AST is a nested tuple: ``('const', v)``, ``('var', 'x')``,
 ``('add'|'sub'|'mul'|'div', a, b)``, ``('pow', a, k)``,
 ``('sin'|'cos', a)``.
 
-A tree is evaluated by translating it once into Python source, one
+A tree is evaluated by translating it into Python source, one
 assignment per node in the order a recursive walk visits them, and
-compiling that into a function ``(x, y) -> tuple of values``.  A
+compiling that into a function ``(x, y) -> tuple of values``.  The source
+is emitted from the caller's own trees; one cache maps it to its code object,
+and the constants are bound by name, so trees of one form share the code.  A
 ``ScalarField`` compiles its value and gradient trees on first use and keeps
 the kernels; ``evaluate`` serves any other tree.  The numpy namespace
 (``np.power``, ``np.sin``, ``np.cos``) serves arrays; the point namespace
@@ -32,7 +34,6 @@ from a tree is pasted into the source.
 """
 
 import functools
-import marshal
 import math
 import re
 import types
@@ -280,25 +281,16 @@ _NAMESPACES = {
 
 
 def _compile(nodes, scalar):
-    """One function (x, y) -> tuple of the values of ``nodes``, compiled once per tree set.
+    """One function (x, y) -> tuple of the values of ``nodes``, emitted from the caller's trees.
 
     ``scalar`` picks the namespace: math on Python floats for one point,
-    numpy for arrays.  The cache key is the trees' marshal bytes, which tell
-    0.0 from -0.0 where tuple equality does not.  A field keeps the kernels
-    it compiles, so the 32 entries serve ``evaluate``, the flows' kernels and
-    new fields of trees seen before.  Constants are bound by name, so trees
+    numpy for arrays.  Each constant is bound by name to its own float, so
+    0.0 and -0.0 stay apart and the source holds only the trees' form: trees
     that differ only in their constants (a new field of the same form) share
-    one code object.
+    one code object from ``_code``, the one compile cache.  A field keeps
+    the kernels it compiles; ``evaluate`` and the flows' kernels emit their
+    trees again on each call.
     """
-    try:
-        key = marshal.dumps(nodes, 2)
-    except ValueError as exc:
-        raise ExpressionError(f"not an expression tree: {exc}") from None
-    return _unnested(_compiled, key, scalar)
-
-
-@functools.lru_cache(maxsize=32)
-def _compiled(key, scalar):
     lines = []
     consts = {}
 
@@ -328,7 +320,7 @@ def _compiled(key, scalar):
         lines.append(f"    t{len(lines)} = {value}\n")
         return f"t{len(lines) - 1}"
 
-    results = [emit(node) for node in marshal.loads(key)]
+    results = _unnested(list, map(emit, nodes))
     source = "def kernel(x, y):\n" + "".join(lines) + f"    return ({', '.join(results)},)\n"
     return types.FunctionType(_code(source), dict(_NAMESPACES[scalar], __builtins__={}, **consts))
 

@@ -143,14 +143,13 @@ class HalfDensity:
 def _require_gaps(pts):
     """Raise DegenerateLoop when two consecutive samples of a closed (N, 2) curve nearly coincide.
 
-    The gaps wrap around, last sample to first; sqrt is monotone, so the
-    smallest gap is the root of the smallest squared gap.
+    The gaps wrap around, last sample to first.  np.hypot takes each gap
+    without squaring it, so coordinates beyond ~1e154 do not overflow.
     """
     d = np.empty(pts.shape)
     np.subtract(pts[1:], pts[:-1], out=d[:-1])
     np.subtract(pts[0], pts[-1], out=d[-1])
-    d *= d
-    if math.sqrt(np.add(d[:, 0], d[:, 1]).min()) <= GAP_FLOOR:
+    if np.hypot(d[:, 0], d[:, 1]).min() <= GAP_FLOOR:
         raise DegenerateLoop("consecutive loop samples closer than 1e-12")
 
 
@@ -267,14 +266,23 @@ def _require_prequantizable(surface):
         )
 
 
-def _level_offset(a):
-    return a - np.floor(a + 0.5)
+def _level_offset(loop, surface):
+    """(A, A - round(A)) for the loop's holonomy integral A, the offset in [-1/2, 1/2).
+
+    An A that is not finite lies on no level and raises GeometryError before
+    any rounding; the overflow of its integrand is silenced here.
+    """
+    _require_prequantizable(surface)
+    with np.errstate(all="ignore"):
+        a = action_integral(loop, surface)
+    if not math.isfinite(a):
+        raise GeometryError(f"action {a!r} is not finite, so the loop lies on no level")
+    return a, a - np.floor(a + 0.5)
 
 
 def bs_defect(loop, surface):
     """Distance of the holonomy integral from its nearest integer, in [-1/2, 1/2)."""
-    _require_prequantizable(surface)
-    return _level_offset(action_integral(loop, surface))
+    return _level_offset(loop, surface)[1]
 
 
 def is_bohr_sommerfeld(loop, surface):
@@ -293,9 +301,7 @@ def project_to_bs(loop, surface):
 
 def _defect_and_projection(loop, surface):
     """(bs_defect(loop), project_to_bs(loop)) from one shared first action integral."""
-    _require_prequantizable(surface)
-    a = action_integral(loop, surface)
-    defect = _level_offset(a)
+    a, defect = _level_offset(loop, surface)
     if abs(a) <= 0.1:
         raise AreaTooSmall(f"|action| = {abs(a):.3g} <= 0.1, too close to the zero level")
     k = int(round(a))

@@ -311,6 +311,22 @@ class TestExitCodes:
         assert out.returncode == (EXIT_NUMERIC if "numeric" in message else EXIT_CONFIG)
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command, text", [
+        ("bracket-check", '{"pairs": [["x", "y"]], "n_samples": 32,'
+         ' "loops": [{"type": "circle", "radius": 1e155, "project": true}]}'),
+        ("bracket-check", '{"pairs": [["x", "y"]], "n_samples": 32,'
+         ' "loops": [{"type": "circle", "radius": 1e155}]}'),
+        ("bs-scan", '{"radii": {"start": 1e150, "stop": 1e160, "count": 3}, "n_samples": 32}'),
+    ], ids=["projected", "strict", "scan"])
+    def test_an_action_that_is_not_finite_is_a_numeric_exit(self, tmp_path, command, text):
+        out = run_module(command, text, tmp_path)
+        # the whole of stderr: no traceback and no raw RuntimeWarning
+        assert out.stderr == (
+            "bsq: numeric failure: action inf is not finite, so the loop lies on no level\n"
+        )
+        assert out.returncode == EXIT_NUMERIC
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command, config, text, message", [
         ("bracket-check", {"pairs": [["x/0", "y"]], "loops": [], "n_samples": 32}, "x/0",
          "division by a constant zero"),

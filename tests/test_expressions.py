@@ -167,12 +167,39 @@ def test_signed_zero_constants_are_kept_apart():
     assert math.copysign(1.0, ex.evaluate(("const", 0.0), 1.0, 1.0)) == 1.0
 
 
+def test_trees_of_one_form_share_their_code():
+    one, two = ex.parse("1.5*x^2 - 0.25*y"), ex.parse("3*x^2 - 7e-3*y")
+    for scalar in (True, False):
+        first, second = ex._compile((one,), scalar), ex._compile((two,), scalar)
+        assert first.__code__ is second.__code__
+        assert first(2.0, 4.0) == (1.5 * 2.0**2 - 0.25 * 4.0,)
+        assert second(2.0, 4.0) == (3.0 * 2.0**2 - 7e-3 * 4.0,)
+
+
+@pytest.mark.parametrize("text", GRAMMAR)
+def test_compiling_a_tree_twice_gives_the_same_bits(text):
+    tree = ex.parse(text)
+    x, y = (a.ravel() for a in np.meshgrid(GRID, GRID, indexing="ij"))
+    point = [ex._compile((tree,), True) for _ in range(2)]
+    with np.errstate(all="ignore"):
+        first, second = (ex._compile((tree, tree), False)(x, y) for _ in range(2))
+        for i in range(0, len(x), 7):
+            try:
+                values = [np.float64(k(float(x[i]), float(y[i]))[0]).tobytes() for k in point]
+            except ZeroDivisionError:
+                continue
+            assert values[0] == values[1]
+    assert [np.broadcast_to(v, x.shape).tobytes() for v in first] == [
+        np.broadcast_to(v, x.shape).tobytes() for v in second
+    ]
+
+
 @pytest.mark.parametrize("tree, message", [
     (("exec", ("var", "x")), "unknown expression tag 'exec'"),
     (("add", ("var", "z"), ("const", 1.0)), "unknown variable 'z'"),
     (("pow", ("var", "x"), 1.5), "exponent must be an integer"),
     (("const", "__import__('os')"), "constant must be a number"),
-    (("const", object()), "not an expression tree"),
+    (("const", object()), "constant must be a number"),
 ])
 def test_compiler_rejects_what_the_grammar_cannot_build(tree, message):
     with pytest.raises(ExpressionError, match=re.escape(message)):

@@ -7,8 +7,10 @@ import scipy.integrate
 from bsmoduli import (
     AreaTooSmall,
     DegenerateLoop,
+    GeometryError,
     HalfDensity,
     Loop,
+    ModuliPoint,
     NonContractibleLoop,
     PrequantizationError,
     SymplecticSurface,
@@ -174,6 +176,12 @@ class TestLoopValidation:
         else:
             assert not rejected
 
+    @pytest.mark.filterwarnings("error")
+    def test_coordinates_beyond_1e154_build(self):
+        # the squared gaps would overflow here; the gaps themselves do not
+        loop = Loop.circle(1e160, n=32)
+        assert np.isfinite(loop.points).all()
+
     def test_points_are_frozen(self):
         loop = Loop.circle(1.0, n=32)
         with pytest.raises(ValueError):
@@ -229,6 +237,17 @@ class TestBsDefect:
         loop = Loop.perturbed_circle(0.9, center=(0.4, -0.3), n=128, harmonics=[(2, 0.1, 0.05)])
         values = [bs_defect(loop, surface) for surface in surfaces]
         assert max(values) - min(values) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_action_that_is_not_finite_is_on_no_level(self, plane):
+        loop = Loop.circle(1e155, n=32)
+        message = "^action inf is not finite, so the loop lies on no level$"
+        with pytest.raises(GeometryError, match=message):
+            bs_defect(loop, plane)
+        with pytest.raises(GeometryError, match=message):
+            ModuliPoint(plane, loop, HalfDensity.uniform(32))
+        with pytest.raises(GeometryError, match=message):
+            project_to_bs(loop, plane)
 
     def test_defect_range(self, plane, rng):
         for _ in range(5):

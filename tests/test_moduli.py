@@ -16,6 +16,7 @@ from bsmoduli import (
     TangentVector,
     dOmega_check,
     differential_covector,
+    field_A,
     flat,
     integrate_density,
     moduli,
@@ -411,6 +412,14 @@ class TestRetract:
         v = TangentVector(np.zeros(p.n), p.theta.values)
         with pytest.raises(GeometryError, match="^diverged, state is not finite$"):
             realize_tangent(p, v, 1e200)
+
+    @pytest.mark.filterwarnings("error")
+    def test_realize_tangent_onto_no_level_is_a_geometry_error(self, ellipse_point):
+        # the moved loop's action overflows to nan: it is not rounded to a level
+        p = ellipse_point
+        v = field_A(expr("x*y+0.3*x^2"), p)
+        with pytest.raises(GeometryError, match="^action nan is not finite"):
+            realize_tangent(p, v, 1e170)
 
     def test_checks_run_loop_then_volume_then_projection(self, plane, monkeypatch):
         n = 64

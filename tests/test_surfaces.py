@@ -424,7 +424,7 @@ class TestScalarField:
         assert ScalarField.constant(3).ast == ("const", 3.0)
 
     def test_fields_keep_their_kernels(self, monkeypatch, plane):
-        # more live fields than the compile cache holds trees: a second sweep compiles nothing
+        # each of 40 live fields keeps its kernels: a second sweep compiles nothing
         fields = [expr(f"{k + 1}*x^2*y+sin({k + 2}*x-y)") for k in range(40)]
         p = np.array([[0.3, -0.2], [1.1, 0.7]])
 

@@ -55,8 +55,8 @@ from .errors import ExpressionError, GeometryError
 from .loops import (
     HalfDensity,
     Loop,
+    _level_offset,
     action_integral,
-    bs_defect,
     grid,
     integrate_density,
     loop_derivative,
@@ -509,9 +509,9 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
                                orientation=spec.get("orientation", 1))
         else:
             loop = Loop(center + r * (base.points - center))
-        # the defect first: an action that is not finite raises there, with no raw warning
-        defect = bs_defect(loop, surface)
-        action = action_integral(loop, surface)
+        # one action integral for both columns; one that is not finite raises
+        # GeometryError there, with no raw warning
+        action, defect = _level_offset(loop, surface)
         rows.append(
             {
                 "radius": float(r),

@@ -2,9 +2,11 @@
 
 Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
-a closed-form 2x2 solve.  The Newton runs on the coordinates (x, y): Python
-floats for one point, (M,) arrays for a batch, with X_f and DX_f compiled
-once per flow into functions of (x, y).  Moduli trajectories use classical
+a closed-form 2x2 solve.  Once per flow the whole step (predictor, Newton
+loop, the trees of X_f and DX_f, the Cramer solve) is emitted from one
+template and compiled into a function step(x, y, h) -> (x, y, passes) on
+the coordinates, Python floats for one point and (M,) arrays for a
+batch.  Moduli trajectories use classical
 RK4 on the pair (loop points, weight values), with the stage velocity given
 by the Hamiltonian field of the induced observable realized as a normal
 displacement field.  That velocity comes from one array kernel,
@@ -51,6 +53,7 @@ class ClassicalTrajectory:
     times: np.ndarray
     points: np.ndarray
     values: np.ndarray
+    newton_passes: np.ndarray
 
     def final(self):
         return self.points[-1]
@@ -66,67 +69,24 @@ def _batch_max_abs(a, b):
     return _max_abs(np.abs(a).max(), np.abs(b).max())
 
 
-def _guarded(kernel):
-    """A point kernel whose float errors (1/0, math.sin(inf)) raise NewtonDivergence."""
-
-    def call(x, y):
-        try:
-            return kernel(x, y)
-        except (ArithmeticError, ValueError) as exc:
-            raise NewtonDivergence(f"no float value at ({x!r}, {y!r}): {exc}") from exc
-
-    return call
-
-
-def _kernels(f, surface, scalar):
-    """X_f and the four trees of DX_f as functions of the coordinates (x, y), compiled once.
-
-    X_f = (f_y / w, -f_x / w), with the division and the positivity guard of
-    w only on a weighted surface; ``scalar`` compiles for Python floats, else
-    for (M,) arrays.
-    """
-    w = surface.omega_density
-    field = ex._compile((f._dy, f._dx) + (() if w is None else (w.ast,)), scalar)
-    jacobian = ex._compile(_field_jacobian(f, surface), scalar)
-    if scalar:
-        field, jacobian = _guarded(field), _guarded(jacobian)
-
-    def x_f(x, y):
-        if w is None:
-            fy, fx = field(x, y)
-            return fy, -fx
-        fy, fx, wv = field(x, y)
-        _require_positive_density(wv)
-        return fy / wv, -fx / wv
-
-    return x_f, jacobian
-
-
-def _implicit_midpoint_step(x_f, jacobian, backend, x, y, h):
-    """Solve p_new = p + h * X_f((p + p_new)/2) by Newton with the exact Jacobian of X_f.
-
-    p = (x, y) is one point of Python floats or a batch of (M,) arrays,
-    solved together: each pass evaluates X_f at the midpoints for the
-    residual and the four entries of DX_f (``jacobian``) there, then solves
-    every 2x2 system (I - h/2 DX_f) delta = -residual by Cramer's rule.
-    ``backend`` is the pair (largest |component| of two, nonsingular test of
-    det) for that kind of p.  The batch has converged once its largest
-    residual is below NEWTON_TOL; the last pass only tests the residual.
-    """
-    norm, nonsingular = backend
+# The Newton template of one implicit-midpoint step.  {start} and {midpoint}
+# bind (u, v) = X_f at (x, y) and at the midpoint (mx, my); {jacobian}
+# computes the four entries of DX_f at the midpoint, named by {entries}.
+_NEWTON_STEP = """\
+def kernel(x, y, h):
     k = 0.5 * h
-    u, v = x_f(x, y)
+{start}
     xn, yn = x + h * u, y + h * v
-    for it in range(NEWTON_MAX_ITER + 1):
+    for it in range(max_iter + 1):
         mx, my = 0.5 * (x + xn), 0.5 * (y + yn)
-        u, v = x_f(mx, my)
+{midpoint}
         r0, r1 = xn - x - h * u, yn - y - h * v
         err = norm(r0, r1)
-        if err < NEWTON_TOL:
-            return xn, yn
-        if it == NEWTON_MAX_ITER:
-            raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
-        a, b, c, d = jacobian(mx, my)
+        if err < tol:
+            return xn, yn, it + 1
+        if it == max_iter:
+            raise NewtonDivergence(f"implicit midpoint failed to converge: residual {{err:.3e}}")
+{jacobian}        a, b, c, d = {entries}
         m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
         det = m00 * m11 - m01 * m10
         if not nonsingular(det):  # tested before dividing, so no ZeroDivisionError
@@ -136,6 +96,77 @@ def _implicit_midpoint_step(x_f, jacobian, backend, x, y, h):
         if not norm(d0, d1) <= 1e6:  # also true for a NaN or an inf
             raise NewtonDivergence("implicit midpoint Newton step diverged")
         xn, yn = xn + d0, yn + d1
+"""
+
+
+def _emitted(emitter, nodes, x, y, pad):
+    """(source, names): lines computing ``nodes`` at the variables x and y, and the values' names.
+
+    The lines run inside a try that raises a float error of Python arithmetic
+    (1/0, math.sin(inf)) as NewtonDivergence naming the point.
+    """
+    lines, names = emitter.emit(nodes, x, y)
+    if not lines:
+        return "", names
+    body = "".join(f"{pad}    {line}\n" for line in lines)
+    return (
+        f"{pad}try:\n{body}{pad}except (ArithmeticError, ValueError) as exc:\n"
+        f'{pad}    raise NewtonDivergence(f"no float value at ({{{x}!r}}, {{{y}!r}}): {{exc}}")'
+        " from exc\n"
+    ), names
+
+
+def _field_source(emitter, nodes, x, y, pad):
+    """Source binding (u, v) = X_f at (x, y) from the trees (f_y, f_x) or (f_y, f_x, w).
+
+    X_f = (f_y / w, -f_x / w).  The positivity guard of w runs outside the
+    try of ``_emitted``, so a nonpositive density stays a ValueError.
+    """
+    source, names = _emitted(emitter, nodes, x, y, pad)
+    if len(names) == 2:
+        return source + f"{pad}u, v = {names[0]}, -{names[1]}"
+    fy, fx, w = names
+    return source + f"{pad}require_positive_density({w})\n{pad}u, v = {fy} / {w}, -{fx} / {w}"
+
+
+def _newton_step(f, surface, scalar):
+    """One implicit-midpoint step of X_f, compiled: step(x, y, h) -> (x_new, y_new, passes).
+
+    It solves p_new = p + h * X_f((p + p_new)/2) by Newton with the exact
+    Jacobian of X_f: each pass evaluates X_f at the midpoint for the residual
+    and the four trees of DX_f there, then solves (I - h/2 DX_f) delta =
+    -residual by Cramer's rule.  ``passes`` counts the residual evaluations;
+    the last pass only tests the residual.  X_f = (f_y / w, -f_x / w), with
+    the division and the positivity guard of w only on a weighted surface.
+    Points (``scalar``: Python floats and math) and (M,) batches (numpy)
+    share the source, and so its code object from ``expressions._code``; only
+    the namespace differs, including the norm, the largest |component| of
+    two, and the nonsingular test of det.  A batch has converged once its
+    largest residual is below NEWTON_TOL.
+    """
+    w = surface.omega_density
+    field = (f._dy, f._dx) + (() if w is None else (w.ast,))
+    emitter = ex._Emitter()
+    start = _field_source(emitter, field, "x", "y", " " * 4)
+    midpoint = _field_source(emitter, field, "mx", "my", " " * 8)
+    jacobian, entries = _emitted(emitter, _field_jacobian(f, surface), "mx", "my", " " * 8)
+    source = _NEWTON_STEP.format(
+        start=start, midpoint=midpoint, jacobian=jacobian, entries=", ".join(entries)
+    )
+    namespace = dict(
+        ex._NAMESPACES[scalar],
+        **emitter.consts,
+        norm=_max_abs if scalar else _batch_max_abs,
+        nonsingular=bool if scalar else np.all,
+        require_positive_density=_require_positive_density,
+        tol=NEWTON_TOL,
+        max_iter=NEWTON_MAX_ITER,
+        range=range,
+        ArithmeticError=ArithmeticError,
+        ValueError=ValueError,
+        NewtonDivergence=NewtonDivergence,
+    )
+    return ex._function(source, namespace)
 
 
 def _step_count(t_final, h):
@@ -155,27 +186,28 @@ def flow_classical(f, surface, p0, t_final, h):
     """Implicit-midpoint Hamiltonian flow of f from p0, a point (2,) or an (M, 2) batch.
 
     A batch runs as one Newton solve per step, so its points are
-    ``points[step, m]``.  The Newton runs on the coordinates: Python floats
-    for a point, (M,) arrays for a batch, through X_f and DX_f compiled once
-    per call (``_kernels``).  Negative h integrates backwards.  Torus
+    ``points[step, m]``.  Each step is one call of the step function compiled
+    for this call (``_newton_step``): on Python floats for a point, on (M,)
+    arrays for a batch.  ``newton_passes[i]`` counts the residual
+    evaluations of step i + 1.  Negative h integrates backwards.  Torus
     coordinates are kept on the lift internally (the fields are periodic) and
     wrapped in the output.  A Newton failure, a non-finite value included,
-    raises NewtonDivergence naming the step and time.
+    raises NewtonDivergence naming the step and time; a nonpositive density
+    raises ValueError.
     """
     steps = _step_count(t_final, h)
     p0 = np.asarray(p0, dtype=float)
     if p0.ndim not in (1, 2) or p0.shape[-1] != 2:
         raise ValueError(f"initial point must have shape (2,) or (M, 2), got {p0.shape}")
     scalar = p0.ndim == 1
-    x_f, jacobian = _kernels(f, surface, scalar)
-    backend = (_max_abs, bool) if scalar else (_batch_max_abs, np.all)
+    step = _newton_step(f, surface, scalar)
     x, y = p0.tolist() if scalar else p0.T
     times = np.arange(steps + 1) * h
-    xs, ys = [x], [y]
+    xs, ys, passes = [x], [y], []
     with np.errstate(all="ignore"):
         for i in range(steps):
             try:
-                x, y = _implicit_midpoint_step(x_f, jacobian, backend, x, y, h)
+                x, y, n = step(x, y, h)
             except NewtonDivergence as exc:
                 raise NewtonDivergence(
                     f"classical flow failed in step {i + 1} of {steps} "
@@ -183,9 +215,12 @@ def flow_classical(f, surface, p0, t_final, h):
                 ) from exc
             xs.append(x)
             ys.append(y)
+            passes.append(n)
     out = surface.wrap(np.stack([np.array(xs), np.array(ys)], axis=-1))
     vals = np.asarray(f(out[..., 0], out[..., 1]), dtype=float)
-    return ClassicalTrajectory(times=times, points=out, values=vals)
+    return ClassicalTrajectory(
+        times=times, points=out, values=vals, newton_passes=np.array(passes, dtype=np.int64)
+    )
 
 
 @dataclass

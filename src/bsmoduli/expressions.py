@@ -20,12 +20,14 @@ The AST is a nested tuple: ``('const', v)``, ``('var', 'x')``,
 ``('sin'|'cos', a)``.
 
 A tree is evaluated by translating it into Python source, one
-assignment per node in the order a recursive walk visits them, and
-compiling that into a function ``(x, y) -> tuple of values``.  The source
+assignment per node in the order a recursive walk visits them (``_Emitter``),
+and compiling that into a function ``(x, y) -> tuple of values``.  The source
 is emitted from the caller's own trees; one cache maps it to its code object,
 and the constants are bound by name, so trees of one form share the code.  A
 ``ScalarField`` compiles its value and gradient trees on first use and keeps
-the kernels; ``evaluate`` serves any other tree.  The numpy namespace
+the kernels; ``evaluate`` serves any other tree.  The classical flow emits
+its trees at variables of its own naming into the template of a whole Newton
+step, through the same emitter and the same cache.  The numpy namespace
 (``np.power``, ``np.sin``, ``np.cos``) serves arrays; the point namespace
 runs on Python floats for one point of a classical flow and gives the same
 bits.  The generator emits only the grammar's operators and functions, the
@@ -280,49 +282,77 @@ _NAMESPACES = {
 }
 
 
+class _Emitter:
+    """Python source for trees: one assignment per node, in the order a recursive walk visits them.
+
+    Temps (t0, t1, ...) and constants (c0, c1, ...) are numbered across every
+    ``emit`` of one emitter, so the blocks of one function never clash.  Each
+    constant is bound by name to its own float in ``consts``, so 0.0 and -0.0
+    stay apart and the source holds only the trees' form.
+    """
+
+    def __init__(self):
+        self.consts = {}
+        self.temps = 0
+
+    def emit(self, nodes, x="x", y="y"):
+        """(lines, names): assignments computing ``nodes`` from the variables named x and y.
+
+        ``names`` holds each tree's value: a temp, a constant or x or y itself.
+        """
+        lines = []
+
+        def walk(node):
+            tag = node[0]
+            if tag == "const":
+                if not isinstance(node[1], (int, float)):
+                    raise ExpressionError(f"constant must be a number, got {node[1]!r}")
+                name = f"c{len(self.consts)}"
+                self.consts[name] = float(node[1])
+                return name
+            if tag == "var":
+                if node[1] not in ("x", "y"):
+                    raise ExpressionError(f"unknown variable {node[1]!r}")
+                return x if node[1] == "x" else y
+            if tag in _BINARY:
+                value = f"{walk(node[1])} {_BINARY[tag]} {walk(node[2])}"
+            elif tag == "pow":
+                base, k = walk(node[1]), int(node[2])
+                if k != node[2]:
+                    raise ExpressionError(f"exponent must be an integer, got {node[2]!r}")
+                value = f"1.0 / power({base}, {-k})" if k < 0 else f"power({base}, {k})"
+            elif tag in ("sin", "cos"):
+                value = f"{'sin' if tag == 'sin' else 'cos'}({walk(node[1])})"
+            else:
+                raise ExpressionError(f"unknown expression tag {tag!r}")
+            name = f"t{self.temps}"
+            self.temps += 1
+            lines.append(f"{name} = {value}")
+            return name
+
+        return lines, _unnested(list, map(walk, nodes))
+
+
 def _compile(nodes, scalar):
     """One function (x, y) -> tuple of the values of ``nodes``, emitted from the caller's trees.
 
     ``scalar`` picks the namespace: math on Python floats for one point,
-    numpy for arrays.  Each constant is bound by name to its own float, so
-    0.0 and -0.0 stay apart and the source holds only the trees' form: trees
-    that differ only in their constants (a new field of the same form) share
-    one code object from ``_code``, the one compile cache.  A field keeps
-    the kernels it compiles; ``evaluate`` and the flows' kernels emit their
-    trees again on each call.
+    numpy for arrays.  Trees that differ only in their constants (a new
+    field of the same form) share one code object from ``_code``, the one
+    compile cache.  A field keeps the kernels it compiles; ``evaluate``
+    emits its tree again on each call, and the classical flow emits its
+    Newton step once per call (``dynamics._newton_step``).
     """
-    lines = []
-    consts = {}
+    emitter = _Emitter()
+    lines, results = emitter.emit(nodes)
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def kernel(x, y):\n{body}    return ({', '.join(results)},)\n"
+    return _function(source, dict(_NAMESPACES[scalar], **emitter.consts))
 
-    def emit(node):
-        tag = node[0]
-        if tag == "const":
-            if not isinstance(node[1], (int, float)):
-                raise ExpressionError(f"constant must be a number, got {node[1]!r}")
-            name = f"c{len(consts)}"
-            consts[name] = float(node[1])
-            return name
-        if tag == "var":
-            if node[1] not in ("x", "y"):
-                raise ExpressionError(f"unknown variable {node[1]!r}")
-            return "x" if node[1] == "x" else "y"
-        if tag in _BINARY:
-            value = f"{emit(node[1])} {_BINARY[tag]} {emit(node[2])}"
-        elif tag == "pow":
-            base, k = emit(node[1]), int(node[2])
-            if k != node[2]:
-                raise ExpressionError(f"exponent must be an integer, got {node[2]!r}")
-            value = f"1.0 / power({base}, {-k})" if k < 0 else f"power({base}, {k})"
-        elif tag in ("sin", "cos"):
-            value = f"{'sin' if tag == 'sin' else 'cos'}({emit(node[1])})"
-        else:
-            raise ExpressionError(f"unknown expression tag {tag!r}")
-        lines.append(f"    t{len(lines)} = {value}\n")
-        return f"t{len(lines) - 1}"
 
-    results = _unnested(list, map(emit, nodes))
-    source = "def kernel(x, y):\n" + "".join(lines) + f"    return ({', '.join(results)},)\n"
-    return types.FunctionType(_code(source), dict(_NAMESPACES[scalar], __builtins__={}, **consts))
+def _function(source, namespace):
+    """The function ``kernel`` that ``source`` defines, on ``namespace`` and no builtins."""
+    return types.FunctionType(_code(source), dict(namespace, __builtins__={}))
 
 
 @functools.lru_cache(maxsize=32)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsmoduli import Loop, ModuliPoint, SymplecticSurface, action_integral, cli, omega_matrix
+from bsmoduli import Loop, ModuliPoint, SymplecticSurface, action_integral, cli, loops, omega_matrix
 from bsmoduli.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -525,6 +525,22 @@ class TestReports:
         assert run("bs-scan", cfg, tmp_path) == EXIT_OK
         assert len(calls) == 1
         assert len(read_rows(tmp_path / "bs_scan.csv")) == 21
+
+    def test_bs_scan_takes_one_action_per_radius(self, tmp_path, monkeypatch):
+        # the action and the defect columns share one holonomy integral
+        calls = []
+        real = loops.action_integral
+
+        def counted(loop, surface):
+            calls.append(loop)
+            return real(loop, surface)
+
+        monkeypatch.setattr(loops, "action_integral", counted)
+        monkeypatch.setattr(cli, "action_integral", counted)
+        assert run("bs-scan", CONFIG_DIR / "bs_scan.json", tmp_path) == EXIT_OK
+        rows = read_rows(tmp_path / "bs_scan.csv")
+        assert len(rows) == 201 and len(calls) == 201
+        assert [float(row["radius"]) for row in rows] == [loop.points[0, 0] for loop in calls]
 
     def test_flow_moduli_snapshots(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "flow_moduli.json").read_text())

@@ -1,6 +1,5 @@
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,11 +71,14 @@ class TestClassicalFlow:
         assert np.linalg.norm(back.final() - np.array([1.2, 0.3])) < 1e-9
 
     def test_one_field_call_per_newton_pass(self, plane, monkeypatch):
-        # per step: the predictor, one pass that updates and one that converges
+        # per step: one call of the compiled step on floats, one pass that
+        # updates and one that converges; the norm runs on each residual and
+        # on the one update
         calls = count_kernel_calls(monkeypatch)
-        flow_classical(expr("(x^2+y^2)/2"), plane, (1.0, 0.0), 1.0, 1e-2)
-        assert [n for n, _ in calls].count(2) == 300
-        assert [n for n, _ in calls].count(4) == 100
+        traj = flow_classical(expr("(x^2+y^2)/2"), plane, (1.0, 0.0), 1.0, 1e-2)
+        assert traj.newton_passes.tolist() == [2] * 100
+        assert [c for c in calls if c[0] == "step"] == [("step", ())] * 100
+        assert calls.count(("norm", ())) == 300
         assert {shape for _, shape in calls} == {()}
 
     def test_newton_divergence(self, plane):
@@ -121,19 +123,27 @@ class TestClassicalFlow:
 
 
 def count_kernel_calls(monkeypatch):
-    """Record (number of trees, shape of x) for every call of a kernel the flow compiles."""
+    """Record (name, shape of x) for each call of a compiled Newton step, of its norm, sin and cos.
+
+    Inside the step the norm runs on each residual and on each update, and
+    sin and cos are the namespace's, so a field whose X_f holds one cos and
+    whose DX_f holds one sin counts the step's field and Jacobian evaluations.
+    """
     calls = []
 
-    def counted_compile(nodes, scalar):
-        kernel = ex._compile(nodes, scalar)
+    def counted(name, fn):
+        def call(*args):
+            calls.append((name, np.shape(args[0])))
+            return fn(*args)
 
-        def counted(x, y):
-            calls.append((len(nodes), np.shape(x)))
-            return kernel(x, y)
+        return call
 
-        return counted
-
-    monkeypatch.setattr(dynamics, "ex", SimpleNamespace(_compile=counted_compile))
+    build = dynamics._newton_step
+    monkeypatch.setattr(dynamics, "_newton_step", lambda *args: counted("step", build(*args)))
+    monkeypatch.setattr(dynamics, "_max_abs", counted("norm", dynamics._max_abs))
+    for namespace in ex._NAMESPACES.values():
+        for name in ("sin", "cos"):
+            monkeypatch.setitem(namespace, name, counted(name, namespace[name]))
     return calls
 
 
@@ -179,17 +189,19 @@ class TestBatchedClassicalFlow:
         assert np.max(np.abs(traj.values - values)) <= bound
 
     def test_one_field_call_per_newton_pass_on_the_stack(self, plane, monkeypatch):
-        # per step: the predictor on (M,) coordinates, then one field call per
-        # pass; every pass but the converged last one evaluates the four
-        # Jacobian trees on the (M,) midpoints, and nothing calls a dense solve
+        # per step: one call of the compiled step on the (M,) coordinates; in
+        # it X_f (one cos) at the predictor and once per pass, DX_f (one sin)
+        # on every pass but the converged last one, and nothing calls a dense solve
         calls, solves = count_kernel_calls(monkeypatch), []
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
         samples = ellipse_samples(plane, n=16)
-        flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
-        fields = [n for n, _ in calls].count(2)
-        passes = fields - 10
-        assert set(calls) == {(2, (16,)), (4, (16,))} and passes >= 20
-        assert [n for n, _ in calls].count(4) == passes - 10 and len(calls) == fields + passes - 10
+        traj = flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
+        passes = int(traj.newton_passes.sum())
+        assert traj.newton_passes.shape == (10,) and passes >= 20
+        assert [c for c in calls if c[0] == "step"] == [("step", (16,))] * 10
+        assert calls.count(("cos", (16,))) == 10 + passes
+        assert calls.count(("sin", (16,))) == passes - 10
+        assert calls.count(("norm", ())) == 2 * passes - 10
         assert solves == []
 
     @pytest.mark.parametrize("bad", ["diverging", "nan"])
@@ -215,6 +227,173 @@ class TestBatchedClassicalFlow:
         p0 = [[0.1, 0.0], start] if batch else start
         with pytest.raises(NewtonDivergence, match=r"failed in step 1 of 10 \(t = 0\.01\)"):
             flow_classical(expr(text), plane, p0, 0.1, 1e-2)
+
+
+def reference_kernels(f, surface, scalar, passes):
+    """X_f and the four trees of DX_f as separate kernels around the compiled expressions.
+
+    The flow's earlier form, kept as a slow reference: X_f = (f_y / w, -f_x / w)
+    with the positivity guard of w only on a weighted surface, and on floats
+    every float error of a kernel raised as NewtonDivergence.  Each X_f call
+    appends to ``passes``, so a step's calls less its predictor are its passes.
+    """
+    w = surface.omega_density
+    field = ex._compile((f._dy, f._dx) + (() if w is None else (w.ast,)), scalar)
+    jacobian = ex._compile(surfaces._field_jacobian(f, surface), scalar)
+
+    def guarded(kernel):
+        def call(x, y):
+            try:
+                return kernel(x, y)
+            except (ArithmeticError, ValueError) as exc:
+                raise NewtonDivergence(f"no float value at ({x!r}, {y!r}): {exc}") from exc
+
+        return call
+
+    if scalar:
+        field, jacobian = guarded(field), guarded(jacobian)
+
+    def x_f(x, y):
+        passes.append(1)
+        if w is None:
+            fy, fx = field(x, y)
+            return fy, -fx
+        fy, fx, wv = field(x, y)
+        surfaces._require_positive_density(wv)
+        return fy / wv, -fx / wv
+
+    return x_f, jacobian
+
+
+def reference_midpoint_step(x_f, jacobian, backend, x, y, h):
+    """p_new = p + h * X_f((p + p_new)/2) by Newton and Cramer's rule, a call per kernel."""
+    norm, nonsingular = backend
+    k = 0.5 * h
+    u, v = x_f(x, y)
+    xn, yn = x + h * u, y + h * v
+    for it in range(dynamics.NEWTON_MAX_ITER + 1):
+        mx, my = 0.5 * (x + xn), 0.5 * (y + yn)
+        u, v = x_f(mx, my)
+        r0, r1 = xn - x - h * u, yn - y - h * v
+        err = norm(r0, r1)
+        if err < dynamics.NEWTON_TOL:
+            return xn, yn
+        if it == dynamics.NEWTON_MAX_ITER:
+            raise NewtonDivergence(f"implicit midpoint failed to converge: residual {err:.3e}")
+        a, b, c, d = jacobian(mx, my)
+        m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
+        det = m00 * m11 - m01 * m10
+        if not nonsingular(det):
+            raise NewtonDivergence("singular Newton system in implicit midpoint")
+        d0 = (m01 * r1 - m11 * r0) / det
+        d1 = (m10 * r0 - m00 * r1) / det
+        if not norm(d0, d1) <= 1e6:
+            raise NewtonDivergence("implicit midpoint Newton step diverged")
+        xn, yn = xn + d0, yn + d1
+
+
+def reference_flow(f, surface, p0, t_final, h):
+    """flow_classical through the reference step: (times, points, values, passes per step)."""
+    steps = dynamics._step_count(t_final, h)
+    p0 = np.asarray(p0, dtype=float)
+    scalar = p0.ndim == 1
+    calls = []
+    x_f, jacobian = reference_kernels(f, surface, scalar, calls)
+    backend = (dynamics._max_abs, bool) if scalar else (dynamics._batch_max_abs, np.all)
+    x, y = p0.tolist() if scalar else p0.T
+    times = np.arange(steps + 1) * h
+    xs, ys, passes = [x], [y], []
+    with np.errstate(all="ignore"):
+        for i in range(steps):
+            calls.clear()
+            try:
+                x, y = reference_midpoint_step(x_f, jacobian, backend, x, y, h)
+            except NewtonDivergence as exc:
+                raise NewtonDivergence(
+                    f"classical flow failed in step {i + 1} of {steps} "
+                    f"(t = {float(times[i + 1])!r}): {exc}"
+                ) from exc
+            xs.append(x)
+            ys.append(y)
+            passes.append(len(calls) - 1)
+    out = surface.wrap(np.stack([np.array(xs), np.array(ys)], axis=-1))
+    vals = np.asarray(f(out[..., 0], out[..., 1]), dtype=float)
+    return times, out, vals, passes
+
+
+REFERENCE_CASES = {
+    "plane": ["x*y+0.3*x^2", "y^2/2-cos(x)", "sin(0.9*x)+0.8*y^2", "(x^2+y^2)^3",
+              "1/(1+x^2+y^2)", "x^-2+y^2", "x^2*y-y^3/3"],
+    "torus": ["sin(x)+cos(y)", "sin(x)*cos(y)^3"],
+    "weighted torus": ["sin(pi*x)*cos(pi*y)", "0.2*sin(pi*x)*cos(pi*y)+0.3*cos(pi*x)"],
+}
+
+
+class TestCompiledStep:
+    """flow_classical against the reference: the same bits, and the same failures."""
+
+    @pytest.mark.parametrize("case, text", [
+        (case, text) for case, texts in REFERENCE_CASES.items() for text in texts
+    ])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_bitwise_the_reference(self, plane, case, text, batch):
+        samples = ellipse_samples(plane)
+        if case == "plane":
+            surface, samples = plane, 0.5 * samples + 0.8
+        elif case == "torus":
+            surface, samples = SymplecticSurface.torus(2 * np.pi, 2 * np.pi), samples + 3.0
+        else:
+            surface, samples = weighted_torus(), 0.3 * samples + 1.0
+        p0 = samples if batch else samples[5]
+        f = expr(text)
+        traj = flow_classical(f, surface, p0, 0.2, -4e-3)
+        times, points, values, passes = reference_flow(f, surface, p0, 0.2, -4e-3)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.points.tobytes() == points.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+        assert traj.newton_passes.dtype == np.int64 and traj.newton_passes.tolist() == passes
+
+    @pytest.mark.parametrize("case", ["nan start", "1/x at 0", "sin(x) at inf", "singular",
+                                      "nonpositive density"])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_fails_as_the_reference(self, plane, case, batch):
+        text, start, surface, t_final, h = {
+            "nan start": ("x*y", [np.nan, 0.0], plane, 0.1, 1e-2),
+            "1/x at 0": ("1/x", [0.0, 1.0], plane, 0.1, 1e-2),
+            "sin(x) at inf": ("sin(x)", [np.inf, 0.0], plane, 0.1, 1e-2),
+            "singular": ("x*y", [1.0, 1.0], plane, 2.0, 2.0),
+            "nonpositive density": ("y", [-1.0, 0.0],
+                                    SymplecticSurface.plane(omega_density=expr("x")), 0.1, 1e-2),
+        }[case]
+        p0 = [[0.1, 0.5], start] if batch else start
+        with pytest.raises(Exception) as want:
+            reference_flow(expr(text), surface, p0, t_final, h)
+        with pytest.raises(Exception) as got:
+            flow_classical(expr(text), surface, p0, t_final, h)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        want_type = ValueError if case == "nonpositive density" else NewtonDivergence
+        assert type(got.value) is want_type
+
+    def test_points_and_batches_share_the_code(self, plane):
+        # one source per form of field: the constants and the namespace are the globals
+        one = dynamics._newton_step(expr("y^2/2-cos(x)"), plane, True)
+        two = dynamics._newton_step(expr("y^2/3-cos(x)"), plane, False)
+        assert one.__code__ is two.__code__
+        assert one.__globals__["norm"] is dynamics._max_abs
+        assert two.__globals__["norm"] is dynamics._batch_max_abs
+        assert one.__globals__["__builtins__"] == {} == two.__globals__["__builtins__"]
+
+    @pytest.mark.parametrize("text, passes", [
+        ("(x^2+y^2)/2", 2), ("x*y+0.3*x^2", 2), ("y^2/2-cos(x)", 3),
+    ])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_newton_passes_per_step(self, plane, text, passes, batch):
+        # a linear X_f converges on the pass after its one update
+        p0 = [[0.7, 0.2], [-0.4, 0.9], [1.1, -0.3]] if batch else [0.7, 0.2]
+        traj = flow_classical(expr(text), plane, p0, 1.0, 0.01)
+        assert traj.newton_passes.dtype == np.int64
+        assert traj.newton_passes.tolist() == [passes] * 100
 
 
 class TestExactJacobian:

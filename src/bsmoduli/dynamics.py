@@ -18,7 +18,8 @@ sized from the first stage's tangential coefficient.  After every requested
 step ``moduli._retract``, the retraction ``realize_tangent`` uses too,
 renormalizes the weight to unit volume and re-projects the loop onto its
 integer level; both corrections track the integrator's own local error and
-are logged.
+are logged.  f is evaluated once per accepted state: the logged F_f and the
+next step's first stage share those values.
 """
 
 import math
@@ -31,7 +32,6 @@ from . import expressions as ex
 from .errors import GeometryError, NewtonDivergence
 from .loops import _require_gaps, integrate_density, loop_derivative
 from .moduli import ModuliPoint, _require_pointwise_dual, _retract
-from .observables import evaluate_F
 from .surfaces import (
     _coefficient_and_speed2,
     _field_and_density,
@@ -241,7 +241,7 @@ def _loop_checksum(points, theta):
     return zlib.crc32(points.tobytes() + theta.tobytes())
 
 
-def _stage_velocity(field, surface, points, theta):
+def _stage_velocity(field, surface, points, theta, values=None):
     """RK4 stage velocity (nu, t1) of the flow of F_field, plus the tangential coefficient u.
 
     The array form of ``_normal_displacement`` applied to ``hamiltonian_field_H``,
@@ -254,7 +254,8 @@ def _stage_velocity(field, surface, points, theta):
     displacement, and |gamma'|^2 once, for u and the normal displacement.
     The guards (gap floor, density positivity, tangent floor, pairing floor)
     are the helpers Loop, hamiltonian_vector_field, tangential_coefficient and
-    sharp run.
+    sharp run.  ``values`` are the field's values at the points when the
+    caller has them already.
     """
     _require_gaps(points)
     tan = loop_derivative(points)
@@ -262,7 +263,9 @@ def _stage_velocity(field, surface, points, theta):
     u, speed2 = _coefficient_and_speed2(xf, tan)
     _require_pointwise_dual(theta)
     th2 = theta**2
-    raw_f = (2.0 * np.asarray(field(points[:, 0], points[:, 1]), dtype=float) * theta) / theta
+    if values is None:
+        values = field(points[:, 0], points[:, 1])
+    raw_f = (2.0 * values * theta) / theta
     vol = integrate_density(th2)
     stack = np.empty(points.shape)
     np.multiply(u, th2, out=stack[:, 0])
@@ -331,16 +334,16 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     snapshots = []
 
     with np.errstate(all="ignore"):
-        current = ModuliPoint(surface, p0.loop, p0.theta, strict=False)
-        f_vals[0] = evaluate_F(f, current)
+        values = f(pts[:, 0], pts[:, 1])
+        f_vals[0] = integrate_density(values * th**2)
         checksums.append(_loop_checksum(pts, th))
         if snapshot_every > 0:
-            snapshots.append((0.0, current))
+            snapshots.append((0.0, ModuliPoint(surface, p0.loop, p0.theta, strict=False)))
 
         for i in range(steps):
             m = 0
             try:
-                nu, t1, u = _stage_velocity(f, surface, pts, th)
+                nu, t1, u = _stage_velocity(f, surface, pts, th, values)
                 z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.abs(u).max())
                 if not z / RK4_STABLE_Z < 2.0**63:  # NaN too; below 2^63 the count fits int64
                     raise GeometryError(f"RK4 substep count out of range (z = {z!r})")
@@ -359,12 +362,11 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
             vol_defects[i + 1] = abs(volume - 1.0)
             level_defects[i + 1] = abs(defect)
             pts, th = loop.points, theta.values
-
-            current = ModuliPoint(surface, loop, theta, strict=False)
-            f_vals[i + 1] = evaluate_F(f, current)
+            values = f(pts[:, 0], pts[:, 1])
+            f_vals[i + 1] = integrate_density(values * th**2)
             checksums.append(_loop_checksum(pts, th))
             if snapshot_every > 0 and (i + 1) % snapshot_every == 0:
-                snapshots.append((times[i + 1], current))
+                snapshots.append((times[i + 1], ModuliPoint(surface, loop, theta, strict=False)))
 
     return ModuliTrajectory(
         times=times,

@@ -468,18 +468,6 @@ def _simplify(node):
     return (tag, a)
 
 
-def poisson_node(f_node, g_node, w_node=None):
-    """AST of the chart Poisson bracket (f_x g_y - f_y g_x) / w."""
-    fx = differentiate(f_node, "x")
-    fy = differentiate(f_node, "y")
-    gx = differentiate(g_node, "x")
-    gy = differentiate(g_node, "y")
-    num = ("sub", ("mul", fx, gy), ("mul", fy, gx))
-    if w_node is not None and w_node != ("const", 1.0):
-        num = ("div", num, w_node)
-    return simplify(num)
-
-
 def trig_frequencies(node):
     """All (a, b) coefficient pairs appearing inside sin/cos arguments."""
     tag = node[0]

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateLoop, GeometryError, SingularPairing
+from .errors import GeometryError, SingularPairing
 from .loops import (
     BS_TOL,
     HalfDensity,
@@ -34,6 +34,7 @@ from .loops import (
     integrate_density,
     loop_derivative,
 )
+from .surfaces import _speed2
 
 SINGULAR_FLOOR = 1e-10
 
@@ -271,44 +272,40 @@ def _require_pointwise_dual(th):
         raise SingularPairing(f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}")
 
 
-def sharp(p, ell, om=None):
-    """The constrained tangent v with omega(p, v, .) = ell(.) for a Covector ell.
+def sharp(p, ell):
+    """The constrained tangent v with omega(p, v, .) = ell(.) for a Covector ell, in O(N).
 
-    Without ``om``, ell is dualized pointwise in O(N): since
-    flat(v) = (-t1 theta0, f1 theta0) and covector weights matter only up to
-    multiples of theta0^2 (function part) and theta0 (density part), v is the
-    constrained projection of (tweight/theta0, -fweight/theta0).
-
-    With ``om`` given, the skew block system of the pairing matrix is solved
-    densely; that route is the independent oracle.  Raises SingularPairing
-    when the pairing is numerically degenerate (theta0 with near-zeros on the
-    grid).
+    Since flat(v) = (-t1 theta0, f1 theta0) and covector weights matter only
+    up to multiples of theta0^2 (function part) and theta0 (density part), v
+    is the constrained projection of (tweight/theta0, -fweight/theta0).  The
+    dense solve of the same system is ``dense_sharp``, the independent
+    oracle.  Raises SingularPairing when theta0 comes within SINGULAR_FLOOR
+    of zero on the grid.
     """
-    if om is None:
-        th = p.theta.values
-        _require_pointwise_dual(th)
-        return project_tangent(ell.tweight / th, -ell.fweight / th, p)
-    lf, lt = om.covector_coefficients(ell)
-    xf, xt = dense_sharp(om, lf[:, None], lt[:, None])
-    return om.from_coordinates(xf[:, 0], xt[:, 0])
+    th = p.theta.values
+    _require_pointwise_dual(th)
+    return project_tangent(ell.tweight / th, -ell.fweight / th, p)
 
 
-def dense_sharp(om, lf, lt):
-    """Dense duals of k covectors at once, by one multi-RHS solve per block.
+def dense_sharp(om, covectors):
+    """The duals of a list of Covectors by the dense pairing system, one multi-RHS solve per block.
 
-    ``lf`` and ``lt`` are (N-1, k) stacks of covector values on the basis
-    columns (``OmegaMatrix.covector_coefficients``); returns the (N-1, k)
-    stacks (xf, xt) of basis coordinates of the duals.  Raises
-    SingularPairing when the pairing matrix is numerically degenerate.
+    An empty list has no duals, so it returns [] even on a singular pairing;
+    otherwise raises SingularPairing when the pairing matrix is numerically
+    degenerate.
     """
+    if not covectors:
+        return []
     if om.min_singular < SINGULAR_FLOOR:
         raise SingularPairing(
             f"pairing min singular value {om.min_singular:.3e} below {SINGULAR_FLOOR:.1e}"
         )
+    coefficients = [om.covector_coefficients(ell) for ell in covectors]
+    lf, lt = (np.stack(stack, axis=1) for stack in zip(*coefficients))
     # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.
     xt = -np.linalg.solve(om.k_block, lf)
     xf = np.linalg.solve(om.k_block.T, lt)
-    return xf, xt
+    return [om.from_coordinates(xf[:, j], xt[:, j]) for j in range(len(covectors))]
 
 
 def _normal_displacement(p, fvec):
@@ -321,9 +318,7 @@ def _normal_displacement(p, fvec):
     """
     pts = p.loop.points
     tan = p.loop.tangent()
-    speed2 = np.sum(tan * tan, axis=1)
-    if np.min(speed2) < 1e-28:
-        raise DegenerateLoop("collapsed tangent while realizing a tangent vector")
+    speed2 = _speed2(tan)
     w = p.surface.density(pts[:, 0], pts[:, 1])
     coeff = loop_derivative(fvec) / (np.asarray(w) * speed2)
     normal = np.stack([-tan[:, 1], tan[:, 0]], axis=1)

@@ -116,21 +116,9 @@ def differential_covector(f, p):
     return Covector(fweight=fw, tweight=tw)
 
 
-def hamiltonian_field_H(f, p, om=None):
-    """Pairing-dual of dF_f; its function part equals twice field_A's."""
-    return sharp(p, differential_covector(f, p), om=om)
-
-
-def hamiltonian_fields(fields, p, om=None):
-    """hamiltonian_field_H of every field, from one batched dense dual."""
-    if not fields:
-        return []
-    if om is None:
-        om = omega_matrix(p)
-    coefficients = [om.covector_coefficients(differential_covector(f, p)) for f in fields]
-    lf, lt = (np.stack(stack, axis=1) for stack in zip(*coefficients))
-    xf, xt = dense_sharp(om, lf, lt)
-    return [om.from_coordinates(xf[:, j], xt[:, j]) for j in range(len(fields))]
+def hamiltonian_field_H(f, p):
+    """Pairing-dual of dF_f by the pointwise ``sharp``; its function part equals twice field_A's."""
+    return sharp(p, differential_covector(f, p))
 
 
 def moduli_bracket(f, g, p, method="matrix", om=None):
@@ -153,7 +141,8 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
     if method == "matrix":
         if om is None:
             om = omega_matrix(p)
-        return omega(p, hamiltonian_field_H(f, p, om=om), hamiltonian_field_H(g, p, om=om))
+        h_f, h_g = (dense_sharp(om, [differential_covector(h, p)])[0] for h in (f, g))
+        return omega(p, h_f, h_g)
     if method == "closed_form":
         integrand = _restricted_bracket(f, g, p.loop, p.surface)
         return BRACKET_SIGN * 2.0 * integrate_density(integrand * p.theta.values**2)
@@ -182,12 +171,16 @@ def bracket_report(f, g, p, om=None):
 def bracket_reports(pairs, p, om=None):
     """bracket_report of every (f, g) pair at one point.
 
-    The matrix route takes every Hamiltonian field from one batched dual
-    (hamiltonian_fields), with each distinct field object dualized once; the
-    values agree with bracket_report's to solve roundoff.
+    The matrix route takes every Hamiltonian field from one ``dense_sharp``
+    call, with each distinct field object dualized once; the values agree
+    with bracket_report's, which solves for one field at a time, to solve
+    roundoff.
     """
     distinct = {id(h): h for pair in pairs for h in pair}
-    fields = dict(zip(distinct, hamiltonian_fields(list(distinct.values()), p, om)))
+    if om is None and distinct:
+        om = omega_matrix(p)
+    covectors = [differential_covector(h, p) for h in distinct.values()]
+    fields = dict(zip(distinct, dense_sharp(om, covectors)))
     return [_report(f, g, p, omega(p, fields[id(f)], fields[id(g)])) for f, g in pairs]
 
 

@@ -9,6 +9,9 @@ Sign convention, fixed once for the whole package: the Hamiltonian field
 of f is the unique X_f with i_{X_f} omega = df, i.e.
 
     X_f = (f_y / w, -f_x / w),      {f, g} = df(X_g) = (f_x g_y - f_y g_x) / w.
+
+Both are built here, as values and as trees, from the gradient trees
+f._dx and f._dy that a ``ScalarField`` holds.
 """
 
 import functools
@@ -282,9 +285,11 @@ def poisson_bracket(f, g, surface, p):
 
 
 def poisson_bracket_field(f, g, surface):
-    """The bracket {f, g} as a ScalarField, composed symbolically from the ASTs."""
-    w = surface.omega_density
-    return ScalarField(ex.poisson_node(f.ast, g.ast, None if w is None else w.ast))
+    """The bracket {f, g} = (f_x g_y - f_y g_x) / w as a ScalarField, from the gradient trees."""
+    bracket = ("sub", ("mul", f._dx, g._dy), ("mul", f._dy, g._dx))
+    if surface.omega_density is not None:
+        bracket = ("div", bracket, surface.omega_density.ast)
+    return ScalarField(ex.simplify(bracket))
 
 
 def tangential_normal_split(v, t):
@@ -305,6 +310,15 @@ def tangential_coefficient(v, t):
     return _coefficient_and_speed2(v, t)[0]
 
 
+def _speed2(t):
+    """|t|^2 along the last axis of a float array; raises DegenerateLoop below TANGENT_FLOOR^2."""
+    sq = t * t
+    tt = sq[..., 0] + sq[..., 1]
+    if tt.min() < TANGENT_FLOOR**2:
+        raise DegenerateLoop("collapsed loop segment: tangent below 1e-14")
+    return tt
+
+
 def _coefficient_and_speed2(v, t):
     """(tangential_coefficient(v, t), |t|^2), the second for callers that divide by it too.
 
@@ -314,10 +328,7 @@ def _coefficient_and_speed2(v, t):
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
-    sq = t * t
-    tt = sq[..., 0] + sq[..., 1]
-    if tt.min() < TANGENT_FLOOR**2:
-        raise DegenerateLoop("collapsed loop segment: tangent below 1e-14")
+    tt = _speed2(t)
     vt = v * t
     dot = vt[..., 0] + vt[..., 1]
     dot += 0.0

@@ -11,6 +11,7 @@ from bsmoduli import (
     Loop,
     ModuliPoint,
     NewtonDivergence,
+    ScalarField,
     SingularPairing,
     SymplecticSurface,
     bs_defect,
@@ -606,6 +607,20 @@ class TestModuliSubsteps:
         traj = shipped_flow(plane, 256)
         assert np.all(traj.substeps >= 2)
         assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-9
+
+    def test_one_field_evaluation_per_state_and_stage(self, plane, monkeypatch):
+        # F_f of an accepted state and the next step's first stage share one evaluation
+        calls = []
+        call = ScalarField.__call__
+
+        def counted(self, x, y):
+            calls.append(1)
+            return call(self, x, y)
+
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        traj = shipped_flow(plane, 256)
+        assert np.all(traj.substeps >= 2)
+        assert len(calls) == 1 + 4 * traj.substeps.sum()
 
     def test_stiff_input_substeps_and_conserves(self, plane):
         # a single RK4 step of h = 0.005 per requested step drifts F_f by 2.1e-6 here

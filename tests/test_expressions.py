@@ -91,17 +91,6 @@ def test_linear_coefficients():
     assert a == pytest.approx(math.pi)
 
 
-def test_poisson_node_canonical_pair():
-    node = ex.poisson_node(ex.parse("x"), ex.parse("y"))
-    assert ex.evaluate(node, 0.7, -0.4) == pytest.approx(1.0)
-
-
-def test_poisson_node_with_density():
-    w = ex.parse("2")
-    node = ex.poisson_node(ex.parse("x"), ex.parse("y"), w)
-    assert ex.evaluate(node, 1.0, 1.0) == pytest.approx(0.5)
-
-
 def test_trig_frequencies_and_degree():
     node = ex.parse("x^2*y + sin(2*x + 3*y)")
     assert ex.polynomial_degree(node) == 3

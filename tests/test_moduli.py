@@ -203,7 +203,7 @@ class TestSharp:
         om = omega_matrix(p)
         target = random_tangent(p, rng)
         ell = flat(p, target)
-        v = sharp(p, ell, om=om)
+        (v,) = dense_sharp(om, [ell])
         assert np.max(np.abs(v.fvec - target.fvec)) < 1e-10
         assert np.max(np.abs(v.tvec - target.tvec)) < 1e-10
 
@@ -211,7 +211,7 @@ class TestSharp:
         p = ellipse_point
         om = omega_matrix(p)
         ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
-        v = sharp(p, ell, om=om)
+        (v,) = dense_sharp(om, [ell])
         for _ in range(10):
             probe = random_tangent(p, rng)
             assert omega(p, v, probe) == pytest.approx(ell(probe), abs=1e-10)
@@ -220,7 +220,7 @@ class TestSharp:
         p = ellipse_point
         om = omega_matrix(p)
         ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
-        got = sharp(p, ell, om=om)
+        (got,) = dense_sharp(om, [ell])
         oracle = division_sharp_oracle(p, ell)
         assert np.max(np.abs(got.fvec - oracle.fvec)) < 1e-9
         assert np.max(np.abs(got.tvec - oracle.tvec)) < 1e-9
@@ -263,9 +263,8 @@ class TestSharp:
             om = omega_matrix(p)
             covectors = [Covector(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3)]
             covectors.append(differential_covector(expr("x*y+0.3*x^2"), p))
-            for ell in covectors:
+            for ell, want in zip(covectors, dense_sharp(om, covectors)):
                 got = sharp(p, ell)
-                want = sharp(p, ell, om=om)
                 scale = max(np.max(np.abs(want.fvec)), np.max(np.abs(want.tvec)))
                 err = max(np.max(np.abs(got.fvec - want.fvec)), np.max(np.abs(got.tvec - want.tvec)))
                 assert err <= 1e-12 * scale
@@ -276,26 +275,31 @@ class TestSharp:
         theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
         p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
         with pytest.raises(SingularPairing):
-            sharp(p, Covector(np.ones(n), np.ones(n)), om=omega_matrix(p))
+            dense_sharp(omega_matrix(p), [Covector(np.ones(n), np.ones(n))])
 
     def test_batch_of_one_matches_single_rhs_solve(self, ellipse_point, rng):
         p = ellipse_point
         om = omega_matrix(p)
         for _ in range(3):
             ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
+            (got,) = dense_sharp(om, [ell])
             lf, lt = om.covector_coefficients(ell)
-            xf, xt = dense_sharp(om, lf[:, None], lt[:, None])
-            got = om.from_coordinates(xf[:, 0], xt[:, 0])
             single = om.from_coordinates(
                 np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
             )
-            want = sharp(p, ell, om=om)
-            for v in (got, single):
-                assert np.array_equal(v.fvec, want.fvec)
-                assert np.array_equal(v.tvec, want.tvec)
+            assert np.array_equal(got.fvec, single.fvec)
+            assert np.array_equal(got.tvec, single.tvec)
 
 
 class TestRealizeTangent:
+    def test_collapsed_tangent_raises_the_surfaces_floor(self, plane):
+        n = 64
+        s = np.arange(n) / n
+        cusp = np.stack([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s) ** 3], axis=1)
+        p = ModuliPoint(plane, Loop(cusp), HalfDensity.cosine_profile(n), strict=False)
+        with pytest.raises(DegenerateLoop, match="^collapsed loop segment: tangent below 1e-14$"):
+            realize_tangent(p, TangentVector.zero(n), 0.1)
+
     def test_zero_vector_fixes_point(self, ellipse_point):
         p = ellipse_point
         q = realize_tangent(p, TangentVector.zero(p.n), 0.01)

@@ -10,6 +10,7 @@ from bsmoduli import (
     SingularPairing,
     bracket_report,
     compatibility_residuals,
+    differential_covector,
     differential_dF,
     evaluate_F,
     field_A,
@@ -29,10 +30,9 @@ from bsmoduli import (
 )
 from bsmoduli import observables
 from bsmoduli.loops import integrate_density, loop_derivative, project_to_bs
-from bsmoduli.moduli import SINGULAR_FLOOR
+from bsmoduli.moduli import SINGULAR_FLOOR, dense_sharp
 from bsmoduli.observables import (
     bracket_reports,
-    hamiltonian_fields,
     restricted_values,
     tangential_hamiltonian_coefficient,
 )
@@ -238,14 +238,21 @@ SHIPPED_FIELDS = ("x", "y", "x^2", "x^2+y^2", "sin(x)", "x*y", "x^2-y^2")
 
 
 class TestHamiltonianFields:
-    def test_batch_of_one_is_single_dual(self, ellipse_point):
+    def test_matrix_route_is_one_single_rhs_dual_per_field(self, ellipse_point):
+        # one field per solve keeps bracket_report's bits (and the golden convergence.csv)
         p = ellipse_point
         om = omega_matrix(p)
-        for text in SHIPPED_FIELDS:
-            (got,) = hamiltonian_fields([expr(text)], p, om)
-            want = hamiltonian_field_H(expr(text), p, om=om)
-            assert np.array_equal(got.fvec, want.fvec)
-            assert np.array_equal(got.tvec, want.tvec)
+
+        def single_rhs_dual(f):
+            lf, lt = om.covector_coefficients(differential_covector(f, p))
+            return om.from_coordinates(
+                np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
+            )
+
+        fields = [expr(text) for text in SHIPPED_FIELDS]
+        for f, g in zip(fields, fields[1:] + fields[:1]):
+            want = omega(p, single_rhs_dual(f), single_rhs_dual(g))
+            assert moduli_bracket(f, g, p, om=om) == want
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_batch_matches_per_field_duals(self, plane, n):
@@ -254,22 +261,33 @@ class TestHamiltonianFields:
         for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1)):
             p = ModuliPoint(plane, loop, theta)
             om = omega_matrix(p)
-            for f, got in zip(fields, hamiltonian_fields(fields, p, om)):
-                want = hamiltonian_field_H(f, p, om=om)
+            covectors = [differential_covector(f, p) for f in fields]
+            for ell, got in zip(covectors, dense_sharp(om, covectors)):
+                (want,) = dense_sharp(om, [ell])
                 scale = max(np.max(np.abs(want.fvec)), np.max(np.abs(want.tvec)))
                 err = max(np.max(np.abs(got.fvec - want.fvec)),
                           np.max(np.abs(got.tvec - want.tvec)))
                 assert err <= 1e-13 * scale
 
     def test_singular_pairing_raises(self, plane):
-        n = 64
-        s = np.arange(n) / n
-        theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
-        p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
+        p = singular_pairing_point(plane)
         om = omega_matrix(p)
         assert om.min_singular < SINGULAR_FLOOR
         with pytest.raises(SingularPairing):
-            hamiltonian_fields([expr("x"), expr("y")], p, om)
+            dense_sharp(om, [differential_covector(expr(text), p) for text in ("x", "y")])
+
+    def test_no_covectors_have_no_duals_even_on_a_singular_pairing(self, plane):
+        om = omega_matrix(singular_pairing_point(plane))
+        assert om.min_singular < SINGULAR_FLOOR
+        assert dense_sharp(om, []) == []
+
+
+def singular_pairing_point(plane):
+    """A unit-area circle whose weight sqrt(2) sin(2 pi s) vanishes on the grid."""
+    n = 64
+    s = np.arange(n) / n
+    theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
+    return ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
 
 
 class TestBracketReports:
@@ -379,7 +397,7 @@ class TestModuliBracket:
         f = expr("x^2+y^2")
         g = expr("x")
         om = omega_matrix(p)
-        h = hamiltonian_field_H(f, p, om=om)
+        (h,) = dense_sharp(om, [differential_covector(f, p)])
         expected = moduli_bracket(g, f, p, om=om)
         base = evaluate_F(g, p)
         errors = []

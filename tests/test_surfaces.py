@@ -459,6 +459,17 @@ class TestScalarField:
         assert one.grad(0.7, -2.0) == (0.0, 0.0)
 
 
+def test_poisson_bracket_field_canonical_pair(plane):
+    field = poisson_bracket_field(expr("x"), expr("y"), plane)
+    assert ex.evaluate(field.ast, 0.7, -0.4) == pytest.approx(1.0)
+
+
+def test_poisson_bracket_field_with_density():
+    surface = SymplecticSurface.plane(omega_density=expr("2"))
+    field = poisson_bracket_field(expr("x"), expr("y"), surface)
+    assert ex.evaluate(field.ast, 1.0, 1.0) == pytest.approx(0.5)
+
+
 def test_poisson_bracket_field_symbolic_composition(plane):
     f = expr("x^2")
     g = expr("y")

@@ -7,8 +7,8 @@ Usage:
 Commands:
 
     bracket-check    three-way bracket comparison over (field pair, loop,
-                     weight) instances; exits 0 iff every relative spread is
-                     within tolerance
+                     weight) instances, each row passing iff its relative
+                     spread is within tolerance
     identity-check   restricted-bracket identity and split-compatibility
                      residuals versus sample count
     flow             classical (implicit midpoint) or moduli (RK4) flow;
@@ -19,9 +19,12 @@ Commands:
     convergence      error-versus-N tables for derivatives, quadrature and
                      holonomy
 
-Exit codes: 0 pass, 1 usage error, 2 config error, 3 numeric failure.
-Instances run one after another and outputs are written in instance order,
-so results are byte-identical for a given config and seed.
+Exit codes: 0 pass, 1 usage error (an ``--out`` that cannot be written
+included), 2 config error, 3 numeric failure: a solver or geometry error, or
+any output row whose ``status`` is ``fail``.  Commands return their tables
+and ``main`` writes them once every instance has run, so a run that ends in
+an error writes nothing.  Instances run one after another and rows keep
+instance order, so results are byte-identical for a given config and seed.
 
 Scalar fields in configs are expression strings over the grammar:
 identifiers ``x``, ``y``; numeric literals and ``pi``; operators
@@ -166,6 +169,25 @@ def _require_object(spec, what):
         raise ConfigError(f"{what} spec must be a JSON object, got {spec!r}")
 
 
+def _is_finite_pair(value):
+    """Whether a config value is a JSON list of two finite numbers."""
+    try:
+        return (
+            isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, bool) for v in value)
+            and all(math.isfinite(v) for v in value)
+        )
+    except (TypeError, OverflowError):
+        return False
+
+
+def _loop_center(spec):
+    center = spec.get("center", [0.0, 0.0])
+    if not _is_finite_pair(center):
+        raise ConfigError(f"loop center must be two finite numbers [x, y], got {center!r}")
+    return tuple(center)
+
+
 def build_field(text):
     if not isinstance(text, str):
         raise ConfigError(f"field spec must be an expression string, got {text!r}")
@@ -252,7 +274,7 @@ def _require_exact_potential(surface, potential):
 def build_loop(spec, n, surface):
     _require_object(spec, "loop")
     kind = spec.get("type")
-    center = tuple(spec.get("center", (0.0, 0.0)))
+    center = _loop_center(spec)
     try:
         if kind == "circle":
             loop = Loop.circle(spec["radius"], center=center, n=n,
@@ -293,7 +315,7 @@ def density_label(spec, index):
     return str(spec.get("id", f"{spec.get('type', 'uniform')}{index}"))
 
 
-def cmd_bracket_check(config, out_dir, seed, tolerance):
+def cmd_bracket_check(config, seed, tolerance):
     if "scale" in config:
         raise ConfigError(
             'bracket-check no longer takes "scale": scale the field expressions '
@@ -345,22 +367,15 @@ def cmd_bracket_check(config, out_dir, seed, tolerance):
 
     columns = ["f", "g", "loop", "density", "n", "matrix", "closed_form",
                "target", "sigma", "rel_spread", "status"]
-    write_csv(
-        os.path.join(out_dir, "bracket_check.csv"), columns, rows,
-        _conventions("bracket-check", seed, tol),
-    )
+    outputs = {"bracket_check.csv": (columns, rows)}
     if singular_rows:
-        write_csv(
-            os.path.join(out_dir, "omega_singular_values.csv"),
-            ["loop", "density", "index", "sigma_k"], singular_rows,
-            _conventions("bracket-check", seed, tol),
+        outputs["omega_singular_values.csv"] = (
+            ["loop", "density", "index", "sigma_k"], singular_rows
         )
-    if any(not np.isfinite(row["rel_spread"]) for row in rows):
-        return EXIT_NUMERIC
-    return EXIT_OK if all(row["status"] == "pass" for row in rows) else EXIT_NUMERIC
+    return tol, outputs
 
 
-def cmd_identity_check(config, out_dir, seed, tolerance):
+def cmd_identity_check(config, seed, tolerance):
     tol_point = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
     tol_compat = float(config.get("tolerance_compat", 1e-12))
     surface = build_surface(config.get("surface"))
@@ -393,11 +408,8 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
                 )
     columns = ["f", "g", "loop", "n", "restriction_residual",
                "compat_residual_1", "compat_residual_2", "status"]
-    write_csv(
-        os.path.join(out_dir, "identity_check.csv"), columns, rows,
-        _conventions("identity-check", seed, tol_point),
-    )
-    if config.get("dump_loop_diagnostics", False):
+    outputs = {"identity_check.csv": (columns, rows)}
+    if config.get("dump_loop_diagnostics", False) and counts:
         diag_rows = []
         for li, (lspec, loop) in enumerate(zip(loop_specs, loops[counts[-1]])):
             table = sample_diagnostics(loop)
@@ -412,27 +424,14 @@ def cmd_identity_check(config, out_dir, seed, tolerance):
                     "dyds": table["dyds"][i],
                     "speed": table["speed"][i],
                 })
-        write_csv(
-            os.path.join(out_dir, "loop_diagnostics.csv"),
-            ["loop", "i", "s", "x", "y", "dxds", "dyds", "speed"], diag_rows,
-            _conventions("identity-check", seed, tol_point),
+        outputs["loop_diagnostics.csv"] = (
+            ["loop", "i", "s", "x", "y", "dxds", "dyds", "speed"], diag_rows
         )
-    return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_NUMERIC
+    return tol_point, outputs
 
 
-def _is_finite_pair(value):
-    """Whether a config value is a JSON list of two finite numbers."""
-    try:
-        return (
-            isinstance(value, list) and len(value) == 2
-            and not any(isinstance(v, bool) for v in value)
-            and all(math.isfinite(v) for v in value)
-        )
-    except (TypeError, OverflowError):
-        return False
-
-
-def cmd_flow(config, out_dir, seed, tolerance):
+def cmd_flow(config, seed, tolerance):
+    tol = tolerance if tolerance is not None else 0.0
     mode = config.get("mode", "classical")
     surface = build_surface(config.get("surface"))
     f = build_field(config["field"])
@@ -447,12 +446,7 @@ def cmd_flow(config, out_dir, seed, tolerance):
             {"t": float(t), "x": float(p[0]), "y": float(p[1]), "f": float(v)}
             for t, p, v in zip(traj.times, traj.points, traj.values)
         ]
-        write_csv(
-            os.path.join(out_dir, "flow_classical.csv"),
-            ["t", "x", "y", "f"], rows,
-            _conventions("flow", seed, tolerance if tolerance is not None else 0.0),
-        )
-        return EXIT_OK
+        return tol, {"flow_classical.csv": (["t", "x", "y", "f"], rows)}
     if mode == "moduli":
         n = int(config.get("n_samples", 128))
         loop = build_loop(config["loop"], n, surface)
@@ -473,24 +467,19 @@ def cmd_flow(config, out_dir, seed, tolerance):
                 traj.bs_defects, traj.checksums,
             )
         ]
-        write_csv(
-            os.path.join(out_dir, "flow_moduli.csv"),
-            ["t", "F_f", "volume_defect", "bs_defect", "loop_checksum"], rows,
-            _conventions("flow", seed, tolerance if tolerance is not None else 0.0),
-        )
+        outputs = {
+            "flow_moduli.csv": (["t", "F_f", "volume_defect", "bs_defect", "loop_checksum"], rows)
+        }
         if snapshot_every > 0:
-            snaps = [
-                {"t": float(t), "state": point.to_dict()} for t, point in traj.snapshots
-            ]
-            _write_atomic(
-                os.path.join(out_dir, "flow_moduli_snapshots.json"),
-                json.dumps(snaps, indent=1, sort_keys=True) + "\n",
+            # no columns: main writes these rows as JSON
+            outputs["flow_moduli_snapshots.json"] = (
+                None, [{"t": float(t), "state": point.to_dict()} for t, point in traj.snapshots]
             )
-        return EXIT_OK
+        return tol, outputs
     raise ConfigError(f"unknown flow mode {mode!r}")
 
 
-def cmd_bs_scan(config, out_dir, seed, tolerance):
+def cmd_bs_scan(config, seed, tolerance):
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-9)
     surface = build_surface(config.get("surface"))
     n = int(config.get("n_samples", 256))
@@ -499,14 +488,15 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
     values = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["count"]))
     circle = spec.get("type") == "circle"
-    if not circle:
+    if circle:
+        center = _loop_center(spec)
+    else:
         base = build_loop(spec, n, surface)
         center = base.points.mean(axis=0)
     rows = []
     for r in values:
         if circle:
-            loop = Loop.circle(r, center=tuple(spec.get("center", (0.0, 0.0))), n=n,
-                               orientation=spec.get("orientation", 1))
+            loop = Loop.circle(r, center=center, n=n, orientation=spec.get("orientation", 1))
         else:
             loop = Loop(center + r * (base.points - center))
         # one action integral for both columns; one that is not finite raises
@@ -520,15 +510,10 @@ def cmd_bs_scan(config, out_dir, seed, tolerance):
                 "bs_hit": int(abs(defect) <= tol),
             }
         )
-    write_csv(
-        os.path.join(out_dir, "bs_scan.csv"),
-        ["radius", "action", "defect", "bs_hit"], rows,
-        _conventions("bs-scan", seed, tol),
-    )
-    return EXIT_OK
+    return tol, {"bs_scan.csv": (["radius", "action", "defect", "bs_hit"], rows)}
 
 
-def cmd_qm_check(config, out_dir, seed, tolerance):
+def cmd_qm_check(config, seed, tolerance):
     tol = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
     n = int(config.get("dimension", 4))
     instances = int(config.get("instances", 100))
@@ -580,12 +565,7 @@ def cmd_qm_check(config, out_dir, seed, tolerance):
          "status": "pass" if abs(kappa_mean - KAPPA_QM) <= 1e-10 else "fail"}
     )
 
-    write_csv(
-        os.path.join(out_dir, "qm_check.csv"),
-        ["check", "value", "threshold", "status"], rows,
-        _conventions("qm-check", seed, tol),
-    )
-    return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_NUMERIC
+    return tol, {"qm_check.csv": (["check", "value", "threshold", "status"], rows)}
 
 
 def _convergence_case(case, n):
@@ -626,7 +606,7 @@ def _convergence_case(case, n):
     raise ConfigError(f"unknown convergence case {case!r}")
 
 
-def cmd_convergence(config, out_dir, seed, tolerance):
+def cmd_convergence(config, seed, tolerance):
     cases = config.get(
         "cases",
         ["derivative_bandlimited", "derivative_analytic", "quadrature_analytic", "action_circle"],
@@ -636,12 +616,8 @@ def cmd_convergence(config, out_dir, seed, tolerance):
     for case in cases:
         for n in counts:
             rows.append({"case": case, "n": int(n), "error": _convergence_case(case, int(n))})
-    write_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        ["case", "n", "error"], rows,
-        _conventions("convergence", seed, tolerance if tolerance is not None else 0.0),
-    )
-    return EXIT_OK
+    tol = tolerance if tolerance is not None else 0.0
+    return tol, {"convergence.csv": (["case", "n", "error"], rows)}
 
 
 COMMANDS = {
@@ -675,14 +651,26 @@ def main(argv=None):
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        runner = COMMANDS[args.command]
-        return runner(config, args.out, seed, args.tol)
+        tol, outputs = COMMANDS[args.command](config, seed, args.tol)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"bsq: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GeometryError as exc:
         print(f"bsq: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    header = _conventions(args.command, seed, tol)
+    for name, (columns, rows) in outputs.items():
+        path = os.path.join(args.out, name)
+        try:
+            if columns is None:
+                _write_atomic(path, json.dumps(rows, indent=1, sort_keys=True) + "\n")
+            else:
+                write_csv(path, columns, rows, header)
+        except OSError as exc:
+            print(f"bsq: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    failed = any(row.get("status") == "fail" for _, rows in outputs.values() for row in rows)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,3 +1,6 @@
+import copy
+import errno
+import inspect
 import json
 import os
 import re
@@ -18,10 +21,14 @@ from bsmoduli.cli import (
     build_loop,
     main,
 )
+from bsmoduli.errors import GeometryError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+
+# A circle spec for the loop-center checks; each test sets its own "center".
+LOOP = {"type": "circle", "radius": 0.56}
 
 # A moduli flow whose field constant makes the RK4 substep count overflow.
 MODULI_OVERFLOW = (
@@ -437,6 +444,73 @@ class TestExitCodes:
         # 1000 backward RK4 steps, compared with the exact flow at t = -1
         assert float(rows["flow_vs_exponential"]["value"]) <= 1e-8
         assert all(row["status"] == "pass" for row in rows.values())
+
+    @pytest.mark.parametrize("command,config", [
+        ("bracket-check", {"pairs": [["x", "y"]], "n_samples": 32, "loops": [LOOP]}),
+        ("identity-check", {"pairs": [["x", "y"]], "sample_counts": [32], "loops": [LOOP]}),
+        ("flow", {"mode": "moduli", "field": "x", "n_samples": 32, "t_final": 0.01,
+                  "step": 0.01, "loop": LOOP}),
+        ("bs-scan", {"n_samples": 32, "loop": {"type": "circle"}}),
+        ("bs-scan", {"n_samples": 32, "loop": {"type": "ellipse", "a": 1.3, "b": 0.8}}),
+    ])
+    @pytest.mark.parametrize("center", [[0.3], [0.3, float("inf")], [True, 0.0]])
+    def test_loop_center_must_be_two_finite_numbers(self, tmp_path, capsys, command, config,
+                                                    center):
+        config = copy.deepcopy(config)
+        spec = config["loops"][0] if "loops" in config else config["loop"]
+        spec["center"] = center
+        assert run(command, config, tmp_path) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"bsq: config error: loop center must be two finite numbers [x, y], got {center!r}\n"
+        )
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_identity_check_without_counts_dumps_no_diagnostics(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+        cfg.update(sample_counts=[], dump_loop_diagnostics=True)
+        assert run("identity-check", cfg, tmp_path) == EXIT_OK
+        assert read_rows(tmp_path / "identity_check.csv") == []
+        assert not (tmp_path / "loop_diagnostics.csv").exists()
+
+    def test_out_that_cannot_be_written_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["convergence", "--config", str(CONFIG_DIR / "convergence.json"),
+                "--out", str(taken)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"bsq: cannot write {taken / 'convergence.csv'}: {os.strerror(errno.EEXIST)}\n"
+        )
+        assert taken.read_text() == ""
+
+    def test_a_command_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+        def broken(loop):
+            raise GeometryError("no diagnostics")
+
+        monkeypatch.setattr(cli, "sample_diagnostics", broken)
+        cfg = json.loads((CONFIG_DIR / "identity_check.json").read_text())
+        cfg.update(sample_counts=[32], dump_loop_diagnostics=True)
+        assert run("identity-check", cfg, tmp_path) == EXIT_NUMERIC
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command,config,code", [
+        ("identity-check", "identity_check.json", EXIT_NUMERIC),
+        ("qm-check", "qm_check.json", EXIT_NUMERIC),
+        ("flow", "flow_classical.json", EXIT_OK),
+        ("flow", "flow_moduli.json", EXIT_OK),
+        ("bs-scan", "bs_scan.json", EXIT_OK),
+        ("convergence", "convergence.json", EXIT_OK),
+    ])
+    def test_one_exit_rule(self, tmp_path, command, config, code):
+        # exit 3 iff a written row has status fail; tables with no status never fail
+        assert run(command, CONFIG_DIR / config, tmp_path, extra=("--tol", "1e-300")) == code
+        rows = [row for path in tmp_path.glob("*.csv") for row in read_rows(path)]
+        assert rows
+        assert any(row.get("status") == "fail" for row in rows) == (code == EXIT_NUMERIC)
+
+    def test_commands_return_their_tables(self):
+        for runner in cli.COMMANDS.values():
+            assert list(inspect.signature(runner).parameters) == ["config", "seed", "tolerance"]
 
 
 class TestReports:

@@ -348,7 +348,11 @@ def cmd_bracket_check(config, seed, tolerance):
                 singular_rows.append(
                     {"loop": label_l, "density": label_d, "index": idx, "sigma_k": float(value)}
                 )
-        for (fs, gs), rep in zip(pairs, bracket_reports(field_pairs, point, om=om)):
+        try:
+            reports = bracket_reports(field_pairs, point, om=om)
+        except GeometryError as exc:
+            raise type(exc)(f"bracket-check on loop {label_l}, density {label_d}: {exc}") from exc
+        for (fs, gs), rep in zip(pairs, reports):
             rows.append(
                 {
                     "f": fs,

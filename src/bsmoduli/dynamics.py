@@ -2,11 +2,12 @@
 
 Classical trajectories use the implicit midpoint rule (symplectic, second
 order, time-symmetric), solved by Newton with the exact Jacobian of X_f and
-a closed-form 2x2 solve.  Once per flow the whole step (predictor, Newton
-loop, the trees of X_f and DX_f, the Cramer solve) is emitted from one
-template and compiled into a function step(x, y, h) -> (x, y, passes) on
-the coordinates, Python floats for one point and (M,) arrays for a
-batch.  Moduli trajectories use classical
+a closed-form 2x2 solve.  Once per flow the whole flow (the step loop, and
+in each step the predictor, the Newton loop, the trees of X_f and DX_f and
+the Cramer solve) is emitted from one template and compiled into one
+function on the coordinates, Python floats for one point and (M,) arrays
+for a batch, which the flow calls once: it appends every point and pass
+count to the caller's lists.  Moduli trajectories use classical
 RK4 on the pair (loop points, weight values), with the stage velocity given
 by the Hamiltonian field of the induced observable realized as a normal
 displacement field.  That velocity comes from one array kernel,
@@ -65,37 +66,51 @@ def _max_abs(a, b):
     return a if a >= b or a != a else b
 
 
+def _abs_max(a):
+    """max|a| over a batch, NaN when any entry is NaN."""
+    return np.abs(a).max()
+
+
 def _batch_max_abs(a, b):
-    return _max_abs(np.abs(a).max(), np.abs(b).max())
+    return _max_abs(_abs_max(a), _abs_max(b))
 
 
-# The Newton template of one implicit-midpoint step.  {start} and {midpoint}
-# bind (u, v) = X_f at (x, y) and at the midpoint (mx, my); {jacobian}
-# computes the four entries of DX_f at the midpoint, named by {entries}.
-_NEWTON_STEP = """\
-def kernel(x, y, h):
+# The template of a whole implicit-midpoint flow: ``steps`` Newton solves,
+# each appending its point to xs, ys and its pass count to passes.  {start}
+# and {midpoint} bind (u, v) = X_f at (x, y) and at the midpoint (mx, my);
+# {jacobian} computes the four entries of DX_f at the midpoint, named by
+# {entries}.  mag(a) is |a| for a point and max|a| for a batch; the chained
+# comparisons are false for a NaN, as a max of the two would be.
+_NEWTON_FLOW = """\
+def kernel(x, y, h, steps, xs, ys, passes):
     k = 0.5 * h
+    for _ in range(steps):
 {start}
-    xn, yn = x + h * u, y + h * v
-    for it in range(max_iter + 1):
-        mx, my = 0.5 * (x + xn), 0.5 * (y + yn)
+        xn, yn = x + h * u, y + h * v
+        for it in range(max_iter + 1):
+            mx, my = 0.5 * (x + xn), 0.5 * (y + yn)
 {midpoint}
-        r0, r1 = xn - x - h * u, yn - y - h * v
-        err = norm(r0, r1)
-        if err < tol:
-            return xn, yn, it + 1
-        if it == max_iter:
-            raise NewtonDivergence(f"implicit midpoint failed to converge: residual {{err:.3e}}")
-{jacobian}        a, b, c, d = {entries}
-        m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
-        det = m00 * m11 - m01 * m10
-        if not nonsingular(det):  # tested before dividing, so no ZeroDivisionError
-            raise NewtonDivergence("singular Newton system in implicit midpoint")
-        d0 = (m01 * r1 - m11 * r0) / det
-        d1 = (m10 * r0 - m00 * r1) / det
-        if not norm(d0, d1) <= 1e6:  # also true for a NaN or an inf
-            raise NewtonDivergence("implicit midpoint Newton step diverged")
-        xn, yn = xn + d0, yn + d1
+            r0, r1 = xn - x - h * u, yn - y - h * v
+            if mag(r0) < tol > mag(r1):
+                break
+            if it == max_iter:
+                raise NewtonDivergence(
+                    f"implicit midpoint failed to converge: residual {{norm(r0, r1):.3e}}"
+                )
+{jacobian}            a, b, c, d = {entries}
+            m00, m01, m10, m11 = 1.0 - k * a, -k * b, -k * c, 1.0 - k * d
+            det = m00 * m11 - m01 * m10
+            if not nonsingular(det):  # tested before dividing, so no ZeroDivisionError
+                raise NewtonDivergence("singular Newton system in implicit midpoint")
+            d0 = (m01 * r1 - m11 * r0) / det
+            d1 = (m10 * r0 - m00 * r1) / det
+            if not mag(d0) <= 1e6 >= mag(d1):  # also true for a NaN or an inf
+                raise NewtonDivergence("implicit midpoint Newton step diverged")
+            xn, yn = xn + d0, yn + d1
+        x, y = xn, yn
+        xs.append(x)
+        ys.append(y)
+        passes.append(it + 1)
 """
 
 
@@ -130,32 +145,38 @@ def _field_source(emitter, nodes, x, y, pad):
 
 
 def _newton_step(f, surface, scalar):
-    """One implicit-midpoint step of X_f, compiled: step(x, y, h) -> (x_new, y_new, passes).
+    """The implicit-midpoint flow of X_f, compiled: kernel(x, y, h, steps, xs, ys, passes).
 
-    It solves p_new = p + h * X_f((p + p_new)/2) by Newton with the exact
+    One call runs all ``steps`` steps of length h from (x, y) and appends
+    each new point to xs and ys and its pass count to passes, so on a
+    NewtonDivergence ``len(passes)`` is the number of steps completed.  Each
+    step solves p_new = p + h * X_f((p + p_new)/2) by Newton with the exact
     Jacobian of X_f: each pass evaluates X_f at the midpoint for the residual
     and the four trees of DX_f there, then solves (I - h/2 DX_f) delta =
-    -residual by Cramer's rule.  ``passes`` counts the residual evaluations;
-    the last pass only tests the residual.  X_f = (f_y / w, -f_x / w), with
-    the division and the positivity guard of w only on a weighted surface.
-    Points (``scalar``: Python floats and math) and (M,) batches (numpy)
-    share the source, and so its code object from ``expressions._code``; only
-    the namespace differs, including the norm, the largest |component| of
-    two, and the nonsingular test of det.  A batch has converged once its
-    largest residual is below NEWTON_TOL.
+    -residual by Cramer's rule.  A pass count is the step's residual
+    evaluations; the last pass only tests the residual.  X_f = (f_y / w,
+    -f_x / w), with the division and the positivity guard of w only on a
+    weighted surface.  Points (``scalar``: Python floats and math) and (M,)
+    batches (numpy) share the source, and so its code object from
+    ``expressions._code``; only the namespace differs: ``mag`` (the builtin
+    abs, or the largest |entry| of a batch), ``norm`` (the largest |component|
+    of two, for the message of a step that does not converge) and the
+    nonsingular test of det.  A step has converged once every |residual|
+    component, over the whole batch, is below NEWTON_TOL.
     """
     w = surface.omega_density
     field = (f._dy, f._dx) + (() if w is None else (w.ast,))
     emitter = ex._Emitter()
-    start = _field_source(emitter, field, "x", "y", " " * 4)
-    midpoint = _field_source(emitter, field, "mx", "my", " " * 8)
-    jacobian, entries = _emitted(emitter, _field_jacobian(f, surface), "mx", "my", " " * 8)
-    source = _NEWTON_STEP.format(
+    start = _field_source(emitter, field, "x", "y", " " * 8)
+    midpoint = _field_source(emitter, field, "mx", "my", " " * 12)
+    jacobian, entries = _emitted(emitter, _field_jacobian(f, surface), "mx", "my", " " * 12)
+    source = _NEWTON_FLOW.format(
         start=start, midpoint=midpoint, jacobian=jacobian, entries=", ".join(entries)
     )
     namespace = dict(
         ex._NAMESPACES[scalar],
         **emitter.consts,
+        mag=abs if scalar else _abs_max,
         norm=_max_abs if scalar else _batch_max_abs,
         nonsingular=bool if scalar else np.all,
         require_positive_density=_require_positive_density,
@@ -186,9 +207,10 @@ def flow_classical(f, surface, p0, t_final, h):
     """Implicit-midpoint Hamiltonian flow of f from p0, a point (2,) or an (M, 2) batch.
 
     A batch runs as one Newton solve per step, so its points are
-    ``points[step, m]``.  Each step is one call of the step function compiled
+    ``points[step, m]``.  The whole flow is one call of the function compiled
     for this call (``_newton_step``): on Python floats for a point, on (M,)
-    arrays for a batch.  ``newton_passes[i]`` counts the residual
+    arrays for a batch; a step that fails is the one after the last pass
+    count it appended.  ``newton_passes[i]`` counts the residual
     evaluations of step i + 1.  Negative h integrates backwards.  Torus
     coordinates are kept on the lift internally (the fields are periodic) and
     wrapped in the output.  A Newton failure, a non-finite value included,
@@ -200,22 +222,18 @@ def flow_classical(f, surface, p0, t_final, h):
     if p0.ndim not in (1, 2) or p0.shape[-1] != 2:
         raise ValueError(f"initial point must have shape (2,) or (M, 2), got {p0.shape}")
     scalar = p0.ndim == 1
-    step = _newton_step(f, surface, scalar)
     x, y = p0.tolist() if scalar else p0.T
     times = np.arange(steps + 1) * h
     xs, ys, passes = [x], [y], []
     with np.errstate(all="ignore"):
-        for i in range(steps):
-            try:
-                x, y, n = step(x, y, h)
-            except NewtonDivergence as exc:
-                raise NewtonDivergence(
-                    f"classical flow failed in step {i + 1} of {steps} "
-                    f"(t = {float(times[i + 1])!r}): {exc}"
-                ) from exc
-            xs.append(x)
-            ys.append(y)
-            passes.append(n)
+        try:
+            _newton_step(f, surface, scalar)(x, y, h, steps, xs, ys, passes)
+        except NewtonDivergence as exc:
+            i = len(passes)
+            raise NewtonDivergence(
+                f"classical flow failed in step {i + 1} of {steps} "
+                f"(t = {float(times[i + 1])!r}): {exc}"
+            ) from exc
     out = surface.wrap(np.stack([np.array(xs), np.array(ys)], axis=-1))
     vals = np.asarray(f(out[..., 0], out[..., 1]), dtype=float)
     return ClassicalTrajectory(
@@ -231,6 +249,7 @@ class ModuliTrajectory:
     bs_defects: np.ndarray
     checksums: list
     substeps: np.ndarray
+    projection_passes: np.ndarray
     snapshots: list = field(default_factory=list)
 
     def final(self):
@@ -311,7 +330,9 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     i 2 pi k 2 u_f, and the fastest resolved mode is k = N/2 - 1 (the
     Nyquist mode has zero spectral derivative).  u_f comes from the first
     stage of the step.  Records per step: time, F_f, pre-renormalization
-    volume defect, pre-projection level defect, and a CRC32 state checksum.
+    volume defect, pre-projection level defect, the action integrals the
+    level projection takes after its first (``projection_passes``), and a
+    CRC32 state checksum.
     Snapshots of the full state are kept every ``snapshot_every`` steps when
     positive.  The flow runs under ``np.errstate(all="ignore")``; a state
     that stops being finite, a z with no int64 substep count, or a raw volume
@@ -330,6 +351,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
     vol_defects = np.zeros(steps + 1)
     level_defects = np.zeros(steps + 1)
     substeps = np.zeros(steps, dtype=np.int64)
+    projection_passes = np.zeros(steps, dtype=np.int64)
     checksums = []
     snapshots = []
 
@@ -352,7 +374,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
                     if j:
                         nu, t1, _ = _stage_velocity(f, surface, pts, th)
                     pts, th = _rk4_step(f, surface, pts, th, h / m, (nu, t1))
-                loop, theta, volume, defect = _retract(surface, pts, th)
+                loop, theta, volume, defect, projection_passes[i] = _retract(surface, pts, th)
             except GeometryError as exc:
                 where = f"{m} RK4 substeps" if m else "first RK4 stage"
                 raise type(exc)(
@@ -375,5 +397,6 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
         bs_defects=level_defects,
         checksums=checksums,
         substeps=substeps,
+        projection_passes=projection_passes,
         snapshots=snapshots,
     )

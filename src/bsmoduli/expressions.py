@@ -26,13 +26,13 @@ is emitted from the caller's own trees; one cache maps it to its code object,
 and the constants are bound by name, so trees of one form share the code.  A
 ``ScalarField`` compiles its value and gradient trees on first use and keeps
 the kernels; ``evaluate`` serves any other tree.  The classical flow emits
-its trees at variables of its own naming into the template of a whole Newton
-step, through the same emitter and the same cache.  The numpy namespace
-(``np.power``, ``np.sin``, ``np.cos``) serves arrays; the point namespace
-runs on Python floats for one point of a classical flow and gives the same
-bits.  The generator emits only the grammar's operators and functions, the
-names x and y, integer exponents and constants bound by name, so nothing
-from a tree is pasted into the source.
+its trees at variables of its own naming into the template of a whole flow,
+every step's Newton solve in one function, through the same emitter and the
+same cache.  The numpy namespace (``np.power``, ``np.sin``, ``np.cos``)
+serves arrays; the point namespace runs on Python floats for one point of a
+classical flow and gives the same bits.  The generator emits only the
+grammar's operators and functions, the names x and y, integer exponents and
+constants bound by name, so nothing from a tree is pasted into the source.
 """
 
 import functools
@@ -341,7 +341,8 @@ def _compile(nodes, scalar):
     field of the same form) share one code object from ``_code``, the one
     compile cache.  A field keeps the kernels it compiles; ``evaluate``
     emits its tree again on each call, and the classical flow emits its
-    Newton step once per call (``dynamics._newton_step``).
+    whole step loop, Newton solves included, once per call into one function
+    that it calls once (``dynamics._newton_step``).
     """
     emitter = _Emitter()
     lines, results = emitter.emit(nodes)

@@ -300,7 +300,11 @@ def project_to_bs(loop, surface):
 
 
 def _defect_and_projection(loop, surface):
-    """(bs_defect(loop), project_to_bs(loop)) from one shared first action integral."""
+    """(bs_defect(loop), project_to_bs(loop), passes) from one shared first action integral.
+
+    ``passes`` counts the action integrals taken after that first one, one
+    per rescaling: 0 for a loop already on its level.
+    """
     a, defect = _level_offset(loop, surface)
     if abs(a) <= 0.1:
         raise AreaTooSmall(f"|action| = {abs(a):.3g} <= 0.1, too close to the zero level")
@@ -309,9 +313,9 @@ def _defect_and_projection(loop, surface):
         raise AreaTooSmall(f"action {a:.3g} rounds to the zero level")
     center = loop.points.mean(axis=0)
     projected = loop
-    for _ in range(PROJECTION_MAX_ITER):
+    for passes in range(PROJECTION_MAX_ITER):
         if abs(a - k) <= PROJECTION_TOL:
-            return defect, projected
+            return defect, projected, passes
         scale = np.sqrt(k / a)
         projected = Loop(center + scale * (projected.points - center))
         a = action_integral(projected, surface)

@@ -326,10 +326,11 @@ def _normal_displacement(p, fvec):
 
 
 def _retract(surface, points, theta):
-    """The moduli point of a raw state, as (loop, theta / sqrt(volume), volume, level defect).
+    """A raw state's moduli point: (loop, theta / sqrt(volume), volume, level defect, passes).
 
-    The loop is projected onto its integer level; the raw volume <theta^2> is
-    taken once, and one that is not finite and positive raises GeometryError.
+    The loop is projected onto its integer level, taking ``passes`` action
+    integrals after the first; the raw volume <theta^2> is taken once, and
+    one that is not finite and positive raises GeometryError.
     """
     loop = Loop(points)
     volume = integrate_density(theta**2)
@@ -337,8 +338,8 @@ def _retract(surface, points, theta):
         raise GeometryError("diverged, state is not finite")
     if volume <= 0:
         raise GeometryError("cannot normalize a half-density with zero volume")
-    defect, loop = _defect_and_projection(loop, surface)
-    return loop, HalfDensity(theta / np.sqrt(volume)), volume, defect
+    defect, loop, passes = _defect_and_projection(loop, surface)
+    return loop, HalfDensity(theta / np.sqrt(volume)), volume, defect, passes
 
 
 def realize_tangent(p, v, t, return_report=False):
@@ -353,7 +354,7 @@ def realize_tangent(p, v, t, return_report=False):
     """
     with np.errstate(all="ignore"):
         moved = p.loop.points + t * _normal_displacement(p, v.fvec), p.theta.values + t * v.tvec
-        loop, theta, volume, level_defect = _retract(p.surface, *moved)
+        loop, theta, volume, level_defect, _ = _retract(p.surface, *moved)
     out = ModuliPoint(p.surface, loop, theta, strict=p.strict)
     if return_report:
         return out, {"volume_defect": abs(volume - 1.0), "bs_defect": abs(level_defect)}

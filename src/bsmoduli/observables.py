@@ -29,6 +29,7 @@ in the common orientation fixed by this constant.
 
 import numpy as np
 
+from .errors import GeometryError
 from .loops import integrate_density, loop_derivative
 from .moduli import (
     Covector,
@@ -151,11 +152,15 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
 
 
 def _report(f, g, p, matrix_value):
+    """The three route values and their relative spread; GeometryError for a value not finite."""
     values = {
         "matrix": matrix_value,
         "closed_form": moduli_bracket(f, g, p, "closed_form"),
         "target": moduli_bracket(f, g, p, "target"),
     }
+    for route, value in values.items():
+        if not np.isfinite(value):
+            raise GeometryError(f"the {route} bracket is {float(value)!r}, not finite")
     vals = np.array(list(values.values()))
     scale = np.max(np.abs(vals))
     spread = float(np.max(vals) - np.min(vals))
@@ -164,8 +169,13 @@ def _report(f, g, p, matrix_value):
 
 
 def bracket_report(f, g, p, om=None):
-    """All three bracket values plus their relative spread."""
-    return _report(f, g, p, moduli_bracket(f, g, p, "matrix", om=om))
+    """All three bracket values plus their relative spread.
+
+    The routes run under ``np.errstate(all="ignore")``; a route value that
+    is not finite raises GeometryError naming the route, not a raw warning.
+    """
+    with np.errstate(all="ignore"):
+        return _report(f, g, p, moduli_bracket(f, g, p, "matrix", om=om))
 
 
 def bracket_reports(pairs, p, om=None):
@@ -174,14 +184,22 @@ def bracket_reports(pairs, p, om=None):
     The matrix route takes every Hamiltonian field from one ``dense_sharp``
     call, with each distinct field object dualized once; the values agree
     with bracket_report's, which solves for one field at a time, to solve
-    roundoff.
+    roundoff.  As there, a GeometryError of a pair, a value that is not
+    finite included, is raised naming the pair's index in ``pairs``.
     """
-    distinct = {id(h): h for pair in pairs for h in pair}
-    if om is None and distinct:
-        om = omega_matrix(p)
-    covectors = [differential_covector(h, p) for h in distinct.values()]
-    fields = dict(zip(distinct, dense_sharp(om, covectors)))
-    return [_report(f, g, p, omega(p, fields[id(f)], fields[id(g)])) for f, g in pairs]
+    with np.errstate(all="ignore"):
+        distinct = {id(h): h for pair in pairs for h in pair}
+        if om is None and distinct:
+            om = omega_matrix(p)
+        covectors = [differential_covector(h, p) for h in distinct.values()]
+        fields = dict(zip(distinct, dense_sharp(om, covectors)))
+        reports = []
+        for j, (f, g) in enumerate(pairs):
+            try:
+                reports.append(_report(f, g, p, omega(p, fields[id(f)], fields[id(g)])))
+            except GeometryError as exc:
+                raise type(exc)(f"pairs[{j}]: {exc}") from exc
+        return reports
 
 
 def measure_bracket_sign(p, f=None, g=None):

@@ -334,6 +334,18 @@ class TestExitCodes:
         assert out.returncode == EXIT_NUMERIC
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_bracket_that_is_not_finite_is_a_numeric_exit(self, tmp_path, capsys):
+        config = {"pairs": [["x", "y"], ["1e160*x", "1e160*y"]], "n_samples": 32,
+                  "loops": [{"type": "circle", "radius": 0.5641895835477563}]}
+        assert run("bracket-check", config, tmp_path) == EXIT_NUMERIC
+        # the whole of stderr: one line naming the loop, the density and the pair
+        assert capsys.readouterr().err == (
+            "bsq: numeric failure: bracket-check on loop loop0, density uniform0: "
+            "pairs[1]: the matrix bracket is -inf, not finite\n"
+        )
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("command, config, text, message", [
         ("bracket-check", {"pairs": [["x/0", "y"]], "loops": [], "n_samples": 32}, "x/0",
          "division by a constant zero"),

@@ -72,14 +72,15 @@ class TestClassicalFlow:
         assert np.linalg.norm(back.final() - np.array([1.2, 0.3])) < 1e-9
 
     def test_one_field_call_per_newton_pass(self, plane, monkeypatch):
-        # per step: one call of the compiled step on floats, one pass that
-        # updates and one that converges; the norm runs on each residual and
-        # on the one update
+        # one call of the compiled flow on floats; per step one pass that
+        # updates and one that converges.  mag runs on both components of the
+        # converged residual and of the update, but on r0 alone of the first
+        # residual: here |r0| = h^2 |x| / 2 >= 2.7e-5 is never below tol
         calls = count_kernel_calls(monkeypatch)
         traj = flow_classical(expr("(x^2+y^2)/2"), plane, (1.0, 0.0), 1.0, 1e-2)
         assert traj.newton_passes.tolist() == [2] * 100
-        assert [c for c in calls if c[0] == "step"] == [("step", ())] * 100
-        assert calls.count(("norm", ())) == 300
+        assert [c for c in calls if c[0] == "flow"] == [("flow", ())]
+        assert calls.count(("mag", ())) == 500
         assert {shape for _, shape in calls} == {()}
 
     def test_newton_divergence(self, plane):
@@ -124,11 +125,12 @@ class TestClassicalFlow:
 
 
 def count_kernel_calls(monkeypatch):
-    """Record (name, shape of x) for each call of a compiled Newton step, of its norm, sin and cos.
+    """Record (name, shape of x) for each call of a compiled Newton flow, of its mag, sin and cos.
 
-    Inside the step the norm runs on each residual and on each update, and
-    sin and cos are the namespace's, so a field whose X_f holds one cos and
-    whose DX_f holds one sin counts the step's field and Jacobian evaluations.
+    Inside the flow mag runs on the components of each residual and of each
+    update, and sin and cos are the namespace's, so a field whose X_f holds
+    one cos and whose DX_f holds one sin counts the field and Jacobian
+    evaluations.
     """
     calls = []
 
@@ -139,9 +141,13 @@ def count_kernel_calls(monkeypatch):
 
         return call
 
-    build = dynamics._newton_step
-    monkeypatch.setattr(dynamics, "_newton_step", lambda *args: counted("step", build(*args)))
-    monkeypatch.setattr(dynamics, "_max_abs", counted("norm", dynamics._max_abs))
+    def build(*args):
+        kernel = newton_step(*args)
+        kernel.__globals__["mag"] = counted("mag", kernel.__globals__["mag"])
+        return counted("flow", kernel)
+
+    newton_step = dynamics._newton_step
+    monkeypatch.setattr(dynamics, "_newton_step", build)
     for namespace in ex._NAMESPACES.values():
         for name in ("sin", "cos"):
             monkeypatch.setitem(namespace, name, counted(name, namespace[name]))
@@ -190,19 +196,21 @@ class TestBatchedClassicalFlow:
         assert np.max(np.abs(traj.values - values)) <= bound
 
     def test_one_field_call_per_newton_pass_on_the_stack(self, plane, monkeypatch):
-        # per step: one call of the compiled step on the (M,) coordinates; in
-        # it X_f (one cos) at the predictor and once per pass, DX_f (one sin)
-        # on every pass but the converged last one, and nothing calls a dense solve
+        # one call of the compiled flow on the (M,) coordinates; per step X_f
+        # (one cos) at the predictor and once per pass, DX_f (one sin) on every
+        # pass but the converged last one, and nothing calls a dense solve.
+        # mag runs on both components of a converged residual and of each
+        # update, and on r0 alone of a residual whose max|r0| is above tol
         calls, solves = count_kernel_calls(monkeypatch), []
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
         samples = ellipse_samples(plane, n=16)
         traj = flow_classical(expr("sin(0.9*x)+0.8*y^2"), plane, samples, 0.01, 1e-3)
         passes = int(traj.newton_passes.sum())
         assert traj.newton_passes.shape == (10,) and passes >= 20
-        assert [c for c in calls if c[0] == "step"] == [("step", (16,))] * 10
+        assert [c for c in calls if c[0] == "flow"] == [("flow", (16,))]
         assert calls.count(("cos", (16,))) == 10 + passes
         assert calls.count(("sin", (16,))) == passes - 10
-        assert calls.count(("norm", ())) == 2 * passes - 10
+        assert calls.count(("mag", (16,))) == 3 * passes - 10
         assert solves == []
 
     @pytest.mark.parametrize("bad", ["diverging", "nan"])
@@ -375,6 +383,21 @@ class TestCompiledStep:
         assert str(got.value) == str(want.value)
         want_type = ValueError if case == "nonpositive density" else NewtonDivergence
         assert type(got.value) is want_type
+
+    @pytest.mark.parametrize("p0", [[1.0, 0.2], [[1.0, 0.2], [0.5, 0.1]]])
+    def test_fails_mid_flow_as_the_reference(self, plane, p0):
+        # the residual stalls just above the absolute tol after 720 good
+        # steps: the failing step is read back from the passes appended
+        f = expr("x*y+0.3*x^2")
+        with pytest.raises(NewtonDivergence) as want:
+            reference_flow(f, plane, p0, 20.0, 0.01)
+        with pytest.raises(NewtonDivergence) as got:
+            flow_classical(f, plane, p0, 20.0, 0.01)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            "classical flow failed in step 721 of 2000 (t = 7.21): "
+            "implicit midpoint failed to converge: residual "
+        )
 
     def test_points_and_batches_share_the_code(self, plane):
         # one source per form of field: the constants and the namespace are the globals
@@ -571,6 +594,15 @@ class TestModuliFlow:
         traj = flow_moduli(expr("x^2+y^2"), p0, 0.05, 5e-3, snapshot_every=1)
         for _, snap in traj.snapshots:
             assert abs(bs_defect(snap.loop, plane)) < 1e-11
+
+    @pytest.mark.parametrize("text, passes", [("x*y+0.3*x^2", 1), ("5", 0)])
+    def test_projection_passes_per_step(self, plane, text, passes):
+        # on the unit-density plane one rescaling by sqrt(k / A) lands on the
+        # level, so a step takes one action integral after the first; a
+        # constant observable never leaves the level and takes none
+        traj = flow_moduli(expr(text), gentle_point(plane), 0.05, 5e-3)
+        assert traj.projection_passes.dtype == np.int64
+        assert traj.projection_passes.tolist() == [passes] * 10
 
     def test_commuting_observable_conserved(self, plane):
         p0 = gentle_point(plane, n=64)

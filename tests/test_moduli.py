@@ -348,13 +348,13 @@ def oracle_retract(surface, points, theta):
     """The retraction in its earlier object form: volume, projection, then normalized()."""
     raw = HalfDensity(theta)
     volume = raw.volume()
-    defect, loop = _defect_and_projection(Loop(points), surface)
-    return loop, raw.normalized(), volume, defect
+    defect, loop, passes = _defect_and_projection(Loop(points), surface)
+    return loop, raw.normalized(), volume, defect, passes
 
 
-def retraction_bytes(loop, theta, volume, defect):
+def retraction_bytes(loop, theta, volume, defect, passes):
     return (loop.points.tobytes(), theta.values.tobytes(),
-            np.float64(volume).tobytes(), np.float64(defect).tobytes())
+            np.float64(volume).tobytes(), np.float64(defect).tobytes(), passes)
 
 
 def raw_states(p, seed=31):
@@ -385,7 +385,7 @@ class TestRetract:
         v = smooth_tangent(p)
         for t in (1e-3, -2.5e-2):
             q, report = realize_tangent(p, v, t, return_report=True)
-            loop, theta, volume, defect = oracle_retract(
+            loop, theta, volume, defect, _ = oracle_retract(
                 surface, p.loop.points + t * _normal_displacement(p, v.fvec),
                 p.theta.values + t * v.tvec,
             )

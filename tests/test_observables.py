@@ -4,6 +4,7 @@ import scipy.integrate
 
 from bsmoduli import (
     BRACKET_SIGN,
+    GeometryError,
     HalfDensity,
     Loop,
     ModuliPoint,
@@ -317,6 +318,18 @@ class TestBracketReports:
 
     def test_no_pairs(self, ellipse_point):
         assert bracket_reports([], ellipse_point) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_bracket_that_is_not_finite_is_a_geometry_error(self, ellipse_point):
+        # the routes overflow under one errstate: no raw warning, and the
+        # first route that is not finite names itself and its pair
+        p = ellipse_point
+        big = (expr("1e160*x"), expr("1e160*y"))
+        message = r"the matrix bracket is nan, not finite$"
+        with pytest.raises(GeometryError, match=r"^pairs\[1\]: " + message):
+            bracket_reports([(expr("x"), expr("y")), big], p)
+        with pytest.raises(GeometryError, match="^" + message):
+            bracket_report(*big, p)
 
 
 class TestModuliBracket:

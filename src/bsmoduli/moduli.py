@@ -220,7 +220,16 @@ class OmegaMatrix:
         Omega = [[0, K], [-K^T, 0]],    K_ij = <bf_i * bt_j * theta0>,
 
     so the assembled matrix is antisymmetric by construction and its singular
-    values are those of K, each doubled.
+    values are those of K, each doubled.  In these bases K is multiplication
+    by theta0, taken from theta0^perp and projected onto (theta0^2)^perp.  A
+    compression raises no singular value, and K's inverse is ``sharp``'s
+    formula, t = f/theta0 - (<f>/<theta0^2>) theta0 with |t| <= |f|/min|theta0|,
+    so
+
+        min|theta0| <= sigma_min(K) <= sigma_max(K) <= max|theta0|.
+
+    The two ends are kept as ``sigma_lower_bound`` and ``sigma_upper_bound``;
+    no SVD is taken unless ``singular_values`` is called.
     """
 
     def __init__(self, p):
@@ -230,9 +239,9 @@ class OmegaMatrix:
         self.f_basis = _complement_basis(th**2, fourier)
         self.t_basis = _complement_basis(th, fourier)
         self.k_block = (self.f_basis.T * th) @ self.t_basis / n
-        s = self._k_singular = np.linalg.svd(self.k_block, compute_uv=False)
-        self.min_singular = float(s[-1]) if s.size else 0.0
-        self.max_singular = float(s[0]) if s.size else 0.0
+        magnitude = np.abs(th)
+        self.sigma_lower_bound = float(magnitude.min())
+        self.sigma_upper_bound = float(magnitude.max())
         self.n = n
 
     @property
@@ -245,8 +254,13 @@ class OmegaMatrix:
         return out
 
     def singular_values(self):
-        """Singular values of the assembled matrix: those of K, each twice."""
-        return np.concatenate([self._k_singular, self._k_singular])
+        """Singular values of the assembled matrix, those of K each twice, by an SVD on each call.
+
+        They lie in [sigma_lower_bound, sigma_upper_bound] up to roundoff, so
+        certifying the pairing does not need them.
+        """
+        s = np.linalg.svd(self.k_block, compute_uv=False)
+        return np.concatenate([s, s])
 
     def coordinates(self, v):
         """Basis coefficients (xf, xt) of a constrained tangent vector."""
@@ -266,7 +280,10 @@ def omega_matrix(p):
 
 
 def _require_pointwise_dual(th):
-    """Raise SingularPairing when theta0 comes within SINGULAR_FLOOR of zero on the grid."""
+    """Raise SingularPairing when theta0 comes within SINGULAR_FLOOR of zero on the grid.
+
+    ``th`` is theta0 on the grid, or its floor min|theta0| itself.
+    """
     floor = float(np.abs(th).min())
     if floor < SINGULAR_FLOOR:
         raise SingularPairing(f"pairing min |theta0| {floor:.3e} below {SINGULAR_FLOOR:.1e}")
@@ -291,15 +308,13 @@ def dense_sharp(om, covectors):
     """The duals of a list of Covectors by the dense pairing system, one multi-RHS solve per block.
 
     An empty list has no duals, so it returns [] even on a singular pairing;
-    otherwise raises SingularPairing when the pairing matrix is numerically
-    degenerate.
+    otherwise raises SingularPairing by ``sharp``'s guard, fed the pairing's
+    certified floor ``om.sigma_lower_bound`` = min|theta0|.  Above that guard
+    K's condition number is at most max|theta0| / min|theta0|.
     """
     if not covectors:
         return []
-    if om.min_singular < SINGULAR_FLOOR:
-        raise SingularPairing(
-            f"pairing min singular value {om.min_singular:.3e} below {SINGULAR_FLOOR:.1e}"
-        )
+    _require_pointwise_dual(om.sigma_lower_bound)
     coefficients = [om.covector_coefficients(ell) for ell in covectors]
     lf, lt = (np.stack(stack, axis=1) for stack in zip(*coefficients))
     # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.

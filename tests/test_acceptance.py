@@ -153,7 +153,7 @@ def test_criterion_04_pairing_structure():
         m = n - 1
         antisym = max(antisym, float(np.max(np.abs(mat + mat.T))))
         blocks = max(blocks, float(np.max(np.abs(mat[:m, :m]))), float(np.max(np.abs(mat[m:, m:]))))
-        min_sv = min(min_sv, om.min_singular)
+        min_sv = min(min_sv, float(om.singular_values().min()))
     point = ModuliPoint(PLANE, loop, HalfDensity.cosine_profile(n))
     s = np.arange(n) / n
     u = TangentVector(np.sin(2 * np.pi * s), np.cos(2 * np.pi * s))
@@ -426,3 +426,78 @@ def test_criterion_12_cross_level_pushforward():
     assert moduli_order >= 3.5
     assert classical_order >= 1.8
     assert miss >= 1e-2
+
+
+ENCLOSURE_SLACK = 4.0
+
+
+def enclosure_excess(om):
+    """How far numpy's SVD of K lies outside [min|theta0|, max|theta0|], in N eps max|theta0|.
+
+    K's assembly and its SVD each carry roundoff of a modest multiple of
+    N eps |K|, with |K| <= max|theta0|, so each end gets that absolute slack:
+    a value <= ENCLOSURE_SLACK is inside the enclosure.  An orthogonal K
+    (uniform theta0 at N = 512) comes out at about 1.
+    """
+    sigma = om.singular_values()
+    unit = om.n * np.finfo(float).eps * om.sigma_upper_bound
+    return max((om.sigma_lower_bound - sigma.min()) / unit,
+               (sigma.max() - om.sigma_upper_bound) / unit)
+
+
+def random_weights(rng, count):
+    """Random theta0 at N = 16...128, alternately sign-definite and sign-changing.
+
+    One grid value is set to a magnitude 10^u, u uniform in [-6, -1], so
+    min|theta0| reaches down to 1e-6.
+    """
+    for i in range(count):
+        n = int(rng.choice([16, 32, 64, 128]))
+        s = np.arange(n) / n
+        modes = sum(rng.standard_normal() * np.cos(2 * np.pi * k * s + rng.uniform(0, 2 * np.pi))
+                    for k in range(1, int(rng.integers(1, 5)) + 1))
+        if i % 2 == 0:
+            values = 1.0 + 0.9 * modes / np.max(np.abs(modes))
+        else:
+            values = 0.3 + modes
+        j = int(np.argmin(np.abs(values)))
+        values[j] = np.copysign(10.0 ** rng.uniform(-6, -1), values[j])
+        yield n, HalfDensity(values).normalized()
+
+
+def test_criterion_13_pairing_enclosure():
+    # min|theta0| <= sigma_min(K) <= sigma_max(K) <= max|theta0| (moduli.OmegaMatrix),
+    # graded against numpy's SVD as the independent oracle
+    worst_shipped = 0.0
+    for loop in acceptance_loops(512).values():
+        for theta in (HalfDensity.uniform(512), HalfDensity.cosine_profile(512)):
+            worst_shipped = max(worst_shipped,
+                                enclosure_excess(omega_matrix(ModuliPoint(PLANE, loop, theta))))
+    rng = np.random.default_rng(13)
+    worst_random = 0.0
+    floors = []
+    sign_changing = 0
+    for n, theta in random_weights(rng, 240):
+        om = omega_matrix(ModuliPoint(PLANE, Loop.circle(np.sqrt(1 / np.pi), n=n), theta))
+        worst_random = max(worst_random, enclosure_excess(om))
+        floors.append(om.sigma_lower_bound)
+        sign_changing += bool(np.any(theta.values < 0))
+    n = 64
+    grid_zero = omega_matrix(ModuliPoint(PLANE, Loop.circle(np.sqrt(1 / np.pi), n=n),
+                                         HalfDensity.cosine_profile(n, 1.0, 1)))
+    control = float(grid_zero.singular_values().min())
+    control_floor = n * np.finfo(float).eps * grid_zero.sigma_upper_bound
+    ok = (max(worst_shipped, worst_random) <= ENCLOSURE_SLACK and min(floors) <= 1e-5
+          and sign_changing >= 100 and grid_zero.sigma_lower_bound == 0.0
+          and control <= control_floor)
+    report(13, ok, f"SVD outside [min|theta0|, max|theta0|] by {worst_shipped:.3f} (N=512, "
+                   f"6 instances) and {worst_random:.3f} (240 random theta0, N=16..128, "
+                   f"{sign_changing} sign-changing, min|theta0| down to {min(floors):.1e}) "
+                   f"<= {ENCLOSURE_SLACK:g} N eps max|theta0|; grid-zero control sigma_min "
+                   f"{control:.1e} <= {control_floor:.1e}")
+    assert worst_shipped <= ENCLOSURE_SLACK
+    assert worst_random <= ENCLOSURE_SLACK
+    assert min(floors) <= 1e-5
+    assert sign_changing >= 100
+    assert grid_zero.sigma_lower_bound == 0.0
+    assert control <= control_floor

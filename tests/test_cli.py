@@ -346,6 +346,18 @@ class TestExitCodes:
         )
         assert os.listdir(tmp_path) == ["config.json"]
 
+    def test_a_singular_pairing_is_a_numeric_exit_naming_min_theta0(self, tmp_path, capsys):
+        # cosine(1, 1) vanishes at s = 1/2, a grid point for even N
+        config = {"pairs": [["x", "y"]], "n_samples": 32,
+                  "densities": [{"type": "cosine", "amplitude": 1.0, "harmonic": 1}],
+                  "loops": [{"type": "circle", "radius": 0.5641895835477563}]}
+        assert run("bracket-check", config, tmp_path) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "bsq: numeric failure: bracket-check on loop loop0, density cosine0: "
+            "pairing min |theta0| 0.000e+00 below 1.0e-10\n"
+        )
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("command, config, text, message", [
         ("bracket-check", {"pairs": [["x/0", "y"]], "loops": [], "n_samples": 32}, "x/0",
          "division by a constant zero"),
@@ -667,11 +679,13 @@ class TestReports:
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         rows = read_rows(tmp_path / "omega_singular_values.csv")
         loop = build_loop(loop_spec, n, plane)
+        slack = n * np.finfo(float).eps
         for dspec in densities:
             sigma = [float(r["sigma_k"]) for r in rows if r["density"] == dspec["id"]]
-            assert len(sigma) == 2 * (n - 1)
-            point = ModuliPoint(plane, loop, build_density(dspec, n))
-            assert min(sigma) == omega_matrix(point).min_singular
+            om = omega_matrix(ModuliPoint(plane, loop, build_density(dspec, n)))
+            assert sigma == sorted(om.singular_values().tolist(), reverse=True)
+            assert min(sigma) >= om.sigma_lower_bound - slack * om.sigma_upper_bound
+            assert max(sigma) <= om.sigma_upper_bound + slack * om.sigma_upper_bound
 
     def test_classical_flow_report(self, tmp_path):
         assert run("flow", CONFIG_DIR / "flow_classical.json", tmp_path) == EXIT_OK
@@ -698,8 +712,9 @@ class TestDeterminism:
             for name in outputs:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("pair_count", [1, 5])
-    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):
+    @staticmethod
+    def count_linalg(monkeypatch):
+        """Count np.linalg.solve and np.linalg.svd calls from here on."""
         counts = {"solve": 0, "svd": 0}
 
         def counted(name, fn):
@@ -710,12 +725,29 @@ class TestDeterminism:
 
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        return counts
+
+    @pytest.mark.parametrize("pair_count", [1, 5])
+    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):
+        # the pairing is certified by its closed-form enclosure, with no SVD
+        counts = self.count_linalg(monkeypatch)
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 64
         cfg["pairs"] = cfg["pairs"][:pair_count]
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
+        assert counts == {"solve": 2 * instances, "svd": 0}
+
+    def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch):
+        counts = self.count_linalg(monkeypatch)
+        n = 32
+        cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
+        cfg.update(n_samples=n, dump_singular_values=True)
+        assert run("bracket-check", cfg, tmp_path) == EXIT_OK
+        instances = len(cfg["loops"]) * len(cfg["densities"])
         assert counts == {"solve": 2 * instances, "svd": instances}
+        rows = read_rows(tmp_path / "omega_singular_values.csv")
+        assert len(rows) == instances * 2 * (n - 1)
 
     def test_seed_override_changes_qm_report(self, tmp_path):
         out1 = tmp_path / "s1"

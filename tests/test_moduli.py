@@ -163,14 +163,15 @@ class TestOmegaMatrix:
         loop = Loop.circle(np.sqrt(1 / np.pi), n=n)
         for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n)):
             om = omega_matrix(ModuliPoint(plane, loop, theta))
-            assert om.min_singular > 1e-6
+            assert om.sigma_lower_bound > 1e-6
 
     def test_uniform_weight_gives_orthogonal_pairing(self, plane):
         n = 32
         p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), HalfDensity.uniform(n))
         om = omega_matrix(p)
-        assert om.min_singular == pytest.approx(1.0, abs=1e-12)
-        assert om.max_singular == pytest.approx(1.0, abs=1e-12)
+        assert om.sigma_lower_bound == pytest.approx(1.0, abs=1e-12)
+        assert om.sigma_upper_bound == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(om.singular_values(), 1.0, rtol=0, atol=1e-12)
 
     def test_matrix_agrees_with_formula(self, ellipse_point, rng):
         p = ellipse_point
@@ -274,7 +275,8 @@ class TestSharp:
         s = np.arange(n) / n
         theta = HalfDensity(np.sqrt(2) * np.sin(2 * np.pi * s))
         p = ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta)
-        with pytest.raises(SingularPairing):
+        message = r"^pairing min \|theta0\| 0\.000e\+00 below 1\.0e-10$"
+        with pytest.raises(SingularPairing, match=message):
             dense_sharp(omega_matrix(p), [Covector(np.ones(n), np.ones(n))])
 
     def test_batch_of_one_matches_single_rhs_solve(self, ellipse_point, rng):

@@ -273,13 +273,16 @@ class TestHamiltonianFields:
     def test_singular_pairing_raises(self, plane):
         p = singular_pairing_point(plane)
         om = omega_matrix(p)
-        assert om.min_singular < SINGULAR_FLOOR
-        with pytest.raises(SingularPairing):
+        assert om.sigma_lower_bound < SINGULAR_FLOOR
+        assert om.singular_values().min() <= p.n * np.finfo(float).eps * om.sigma_upper_bound
+        with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| "):
             dense_sharp(om, [differential_covector(expr(text), p) for text in ("x", "y")])
 
     def test_no_covectors_have_no_duals_even_on_a_singular_pairing(self, plane):
-        om = omega_matrix(singular_pairing_point(plane))
-        assert om.min_singular < SINGULAR_FLOOR
+        p = singular_pairing_point(plane)
+        om = omega_matrix(p)
+        assert om.sigma_lower_bound < SINGULAR_FLOOR
+        assert om.singular_values().min() <= p.n * np.finfo(float).eps * om.sigma_upper_bound
         assert dense_sharp(om, []) == []
 
 

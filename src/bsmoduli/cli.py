@@ -37,10 +37,10 @@ Loop specs: ``{"type": "circle", "radius": r, "center": [x, y]}``,
 "harmonics": [[k, cos_amp, sin_amp], ...]}``; all accept ``"project": true``
 to rescale onto the nearest integer level and ``"id"`` for report labels.
 Weight specs: ``{"type": "uniform"}`` or ``{"type": "cosine",
-"amplitude": a, "harmonic": k}``.  Surface specs: ``{"kind": "plane"}`` or
-``{"kind": "torus", "periods": [Lx, Ly]}``, with optional
-``"omega_density"`` expression (a matching ``"potential"`` pair of
-expressions is then required for holonomy work; its exact curl is checked
+"amplitude": a, "harmonic": k}``; every harmonic k is an integer.  Surface
+specs: ``{"kind": "plane"}`` or ``{"kind": "torus", "periods": [Lx, Ly]}``,
+with optional ``"omega_density"`` expression (a matching ``"potential"`` pair
+of expressions is then required for holonomy work; its exact curl is checked
 against the density when the surface is built).
 """
 

@@ -15,6 +15,9 @@ literals.  The argument of ``sin``/``cos`` must be a linear form
 ``a*x + b*y + c`` (this keeps derivatives inside the language and makes
 periodicity on a torus decidable).
 
+Python's own parser reads this grammar, with ``^`` written as ``**``, and
+``_translate`` admits only its nodes, so Python's wider syntax is an error.
+
 The AST is a nested tuple: ``('const', v)``, ``('var', 'x')``,
 ``('add'|'sub'|'mul'|'div', a, b)``, ``('pow', a, k)``,
 ``('sin'|'cos', a)``.
@@ -35,137 +38,89 @@ grammar's operators and functions, the names x and y, integer exponents and
 constants bound by name, so nothing from a tree is pasted into the source.
 """
 
+import ast
 import functools
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ExpressionError(f"unexpected character {tail[0]!r} in {text!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.i != len(self.tokens):
-            raise ExpressionError(f"trailing input in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("sub", ("const", 0.0), self.unary())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.next()
-                sign = -1
-            kind, val = self.next()
-            if kind != "num" or val != int(val):
-                raise ExpressionError(f"exponent must be an integer in {self.text!r}")
-            return ("pow", base, sign * int(val))
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in ("x", "y"):
-                return ("var", val)
-            if val == "pi":
-                return ("const", math.pi)
-            if val in ("sin", "cos"):
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                if linear_coefficients(arg) is None:
-                    raise ExpressionError(
-                        f"{val} expects a linear form a*x + b*y + c, got nonlinear argument"
-                    )
-                return (val, arg)
-            raise ExpressionError(f"unknown identifier {val!r} in {self.text!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token in {self.text!r}")
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_LITERAL_RE = re.compile(_NUMBER)
+_EXPONENT_RE = re.compile(rf"(-?) *({_NUMBER})")
+_BINARY_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
 
 
 def parse(text):
-    """Parse ``text`` into an AST node, raising ExpressionError on bad input."""
+    """Parse ``text`` into an AST node, raising ExpressionError on bad input.
+
+    ``**``, ``#`` (a comment to Python) and any character beyond ASCII (Python
+    folds some, such as the mathematical italic x, into x) are rejected first.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    return _unnested(_Parser(text).parse)
+    source = re.sub(r"\s", " ", text).strip()
+    bad = re.search(r"[^\x01-\x7f]|\*\*|#", source)
+    if bad:
+        raise ExpressionError(f"unexpected {bad.group()!r} in {text!r}")
+    # the grammar reads an integer literal with leading zeros, such as 007; Python does not
+    source = re.sub(r"(?<![\w.])0+(?=\d)", "", source.replace("^", "**"))
+    try:
+        with warnings.catch_warnings():
+            # such as "invalid decimal literal" for 1if, which is an error here anyway
+            warnings.simplefilter("ignore", SyntaxWarning)
+            body = ast.parse(source, mode="eval").body
+    except (MemoryError, RecursionError):
+        raise ExpressionError("expression nested too deeply") from None
+    except SyntaxError as exc:
+        if exc.msg == "too many nested parentheses":
+            raise ExpressionError("expression nested too deeply") from None
+        raise ExpressionError(f"cannot parse {text!r}") from None
+    return _unnested(_translate, body, source, text)
+
+
+def _translate(node, source, text):
+    """The grammar's tuple for a node of Python's tree of ``source``, or ExpressionError.
+
+    A literal is admitted by its source text, so ``0x1``, ``1_0``, ``1j``
+    and ``True`` are not numbers, and so is an exponent: a literal with an
+    optional minus and no parentheses, whose value is an integer.  A call is
+    ``sin`` or ``cos`` of one argument as the grammar writes it, so
+    ``(sin)(x)`` and ``sin(x,)`` are errors.
+    """
+    segment = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        a, b = _translate(node.left, source, text), _translate(node.right, source, text)
+        return (_BINARY_OPS[type(node.op)], a, b)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base = _translate(node.left, source, text)
+        m = _EXPONENT_RE.fullmatch(source, node.right.col_offset, node.end_col_offset)
+        k = float(m.group(2)) if m else math.nan
+        if not k.is_integer():
+            raise ExpressionError(f"exponent must be an integer in {text!r}")
+        return ("pow", base, -int(k) if m.group(1) else int(k))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        a = _translate(node.operand, source, text)
+        return ("sub", ("const", 0.0), a) if isinstance(node.op, ast.USub) else a
+    if isinstance(node, ast.Name) and node.id in ("x", "y", "pi"):
+        return ("const", math.pi) if node.id == "pi" else ("var", node.id)
+    if isinstance(node, ast.Constant) and _LITERAL_RE.fullmatch(segment):
+        return ("const", float(segment))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("sin", "cos") and node.func.col_offset == node.col_offset
+            and len(node.args) == 1 and not node.keywords
+            and "," not in source[node.args[0].end_col_offset:node.end_col_offset]):
+        arg = _translate(node.args[0], source, text)
+        if linear_coefficients(arg) is None:
+            raise ExpressionError(
+                f"{node.func.id} expects a linear form a*x + b*y + c, got nonlinear argument"
+            )
+        return (node.func.id, arg)
+    raise ExpressionError(f"unexpected {segment!r} in {text!r}")
 
 
 def _unnested(walk, *args):
@@ -470,31 +425,21 @@ def _simplify(node):
 
 
 def trig_frequencies(node):
-    """All (a, b) coefficient pairs appearing inside sin/cos arguments."""
-    tag = node[0]
-    if tag in ("sin", "cos"):
-        a, b, _ = linear_coefficients(node[1])
-        return [(a, b)]
-    if tag in ("add", "sub", "mul", "div"):
-        return trig_frequencies(node[1]) + trig_frequencies(node[2])
-    if tag == "pow":
-        return trig_frequencies(node[1])
-    return []
+    """The (a, b) of each sin/cos argument a*x + b*y + c, or None when x or y occurs outside one.
 
-
-def polynomial_degree(node):
-    """Total degree of the polynomial part; trig factors count as degree 0."""
+    A power with exponent 0 is constant, so it contributes nothing.
+    """
     tag = node[0]
-    if tag == "const":
-        return 0
     if tag == "var":
-        return 1
-    if tag in ("add", "sub"):
-        return max(polynomial_degree(node[1]), polynomial_degree(node[2]))
-    if tag == "mul":
-        return polynomial_degree(node[1]) + polynomial_degree(node[2])
-    if tag == "div":
-        return polynomial_degree(node[1]) + polynomial_degree(node[2])
-    if tag == "pow":
-        return abs(node[2]) * polynomial_degree(node[1])
-    return 0
+        return None
+    if tag in ("sin", "cos"):
+        return [linear_coefficients(node[1])[:2]]
+    if tag == "const" or tag == "pow" and node[2] == 0:
+        return []
+    pairs = []
+    for child in node[1:2] if tag == "pow" else node[1:]:
+        inner = trig_frequencies(child)
+        if inner is None:
+            return None
+        pairs += inner
+    return pairs

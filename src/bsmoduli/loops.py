@@ -129,6 +129,7 @@ class HalfDensity:
 
     @classmethod
     def cosine_profile(cls, n, amplitude=0.3, harmonic=1):
+        _require_integer_harmonic(harmonic)
         s = grid(n)
         return cls(1.0 + amplitude * np.cos(2 * np.pi * harmonic * s)).normalized()
 
@@ -138,6 +139,12 @@ class HalfDensity:
     @classmethod
     def from_dict(cls, data):
         return cls(np.asarray(data["theta"], dtype=float))
+
+
+def _require_integer_harmonic(k):
+    """Raise ValueError unless k is an integer: cos(2 pi k s) is periodic in s only then."""
+    if not float(k).is_integer():
+        raise ValueError(f"harmonic must be an integer, got {k!r}")
 
 
 def _require_gaps(pts):
@@ -210,6 +217,7 @@ class Loop:
         t = 2 * np.pi * s
         r = np.full(n, float(radius))
         for k, ck, sk in harmonics:
+            _require_integer_harmonic(k)
             r += radius * (ck * np.cos(k * t) + sk * np.sin(k * t))
         pts = np.stack([center[0] + r * np.cos(t), center[1] + r * np.sin(t)], axis=1)
         return cls(pts)

@@ -38,8 +38,8 @@ class StateVector:
             raise ValueError("state amplitudes must be a 1D array")
         if not (np.all(np.isfinite(amplitudes.real)) and np.all(np.isfinite(amplitudes.imag))):
             raise ValueError("state amplitudes must be finite")
-        if hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < hbar < np.inf:
+            raise ValueError("hbar must be finite and positive")
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "hbar", float(hbar))
 

@@ -106,11 +106,12 @@ def field_is_periodic(f, surface):
     """Whether f is compatible with the surface's periodic identification."""
     if surface.kind != "torus":
         return True
-    if ex.polynomial_degree(f.ast) > 0:
+    frequencies = ex.trig_frequencies(f.ast)
+    if frequencies is None:
         return False
     lx, ly = surface.periods
     two_pi = 2.0 * np.pi
-    for a, b in ex.trig_frequencies(f.ast):
+    for a, b in frequencies:
         ma = a * lx / two_pi
         mb = b * ly / two_pi
         if abs(ma - round(ma)) > 1e-9 or abs(mb - round(mb)) > 1e-9:

@@ -370,6 +370,8 @@ class TestExitCodes:
          "constant 1e+200^2 overflows"),
         ("flow", {"mode": "classical", "field": "sin(x/0)"}, "sin(x/0)",
          "division by a constant zero"),
+        ("flow", {"mode": "classical", "field": "x^1e400"}, "x^1e400",
+         "exponent must be an integer in 'x^1e400'"),
     ])
     def test_constant_arithmetic_is_a_config_error(self, tmp_path, capsys, command, config,
                                                    text, message):
@@ -379,8 +381,9 @@ class TestExitCodes:
         )
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("text", ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400],
-                             ids=["sum", "parentheses"])
+    @pytest.mark.parametrize("text", ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400,
+                                      "+".join(["x"] * 100000), "-" * 100000 + "x"],
+                             ids=["sum", "parentheses", "long-sum", "unary-minus"])
     def test_too_deep_an_expression_is_a_config_error(self, tmp_path, text):
         config = {"pairs": [[text, "y"]], "loops": [{"type": "circle", "radius": 0.5}]}
         out = run_module("bracket-check", json.dumps(config), tmp_path)
@@ -390,6 +393,22 @@ class TestExitCodes:
         )
         assert out.returncode == EXIT_CONFIG
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, config, k", [
+        ("bracket-check", {"pairs": [["x^2", "y"]], "n_samples": 32,
+                           "loops": [{"type": "perturbed_circle", "radius": 0.56,
+                                      "harmonics": [[2.5, 0.1, 0.0]]}],
+                           "densities": [{"type": "cosine", "harmonic": 1.5}]}, 2.5),
+        ("flow", {"mode": "moduli", "field": "x", "n_samples": 32, "t_final": 0.01,
+                  "step": 0.01, "loop": LOOP, "density": {"type": "cosine", "harmonic": 0.5}},
+         0.5),
+    ], ids=["loop", "density"])
+    def test_a_non_integer_harmonic_is_a_config_error(self, tmp_path, capsys, command, config, k):
+        # cos(2 pi k s) is periodic on the parameter circle only for an integer k
+        assert run(command, config, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"bsq: config error: harmonic must be an integer, got {k}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_bracket_check_rejects_scale(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
@@ -441,10 +460,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,message", [
         ('{"step": 0}', "step must be nonzero"),
         ('{"t_final": 1e400}', "t_final must be finite, got inf"),
+        ('{"hbar": Infinity}', "hbar must be finite and positive"),
+        ('{"hbar": NaN}', "hbar must be finite and positive"),
     ])
-    def test_qm_check_bad_step_is_a_config_error(self, tmp_path, text, message):
+    def test_qm_check_bad_step_or_hbar_is_a_config_error(self, tmp_path, text, message):
         out = run_module("qm-check", text, tmp_path)
         assert out.returncode == EXIT_CONFIG
+        # the whole of stderr, so no RuntimeWarning leaked before the error
         assert out.stderr == f"bsq: config error: {message}\n"
         assert not (tmp_path / "qm_check.csv").exists()
 

@@ -1,6 +1,7 @@
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,13 +40,46 @@ def test_vectorized_evaluation():
     assert np.allclose(got, xs**2 + np.sin(ys), atol=1e-15)
 
 
+X, Y, ZERO = ("var", "x"), ("var", "y"), ("const", 0.0)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-x", ("sub", ZERO, X)),
+    ("+-+x", ("sub", ZERO, X)),
+    ("-x*y^2", ("mul", ("sub", ZERO, X), ("pow", Y, 2))),
+    ("x - -y", ("sub", X, ("sub", ZERO, Y))),
+    ("x^ - 2", ("pow", X, -2)),
+    ("x^2.0", ("pow", X, 2)),
+    ("(x)^-0", ("pow", X, 0)),
+    ("x^02", ("pow", X, 2)),
+    (".5", ("const", 0.5)),
+    ("5.", ("const", 5.0)),
+    ("5.e1", ("const", 50.0)),
+    ("007.50", ("const", 7.5)),
+    ("1e400", ("const", math.inf)),
+    ("pi", ("const", math.pi)),
+    ("x/y/2", ("div", ("div", X, Y), ("const", 2.0))),
+    ("cos (2*x - y)", ("cos", ("sub", ("mul", ("const", 2.0), X), Y))),
+    ("\tx\n+\r\n\u00a0y ", ("add", X, Y)),
+])
+def test_parse_trees(text, tree):
+    # repr tells 2 from 2.0 and 0.0 from -0.0
+    assert repr(ex.parse(text)) == repr(tree)
+
+
 @pytest.mark.parametrize(
     "bad",
-    ["", "x +", "sin(x*y)", "sin(x^2)", "x ^ y", "z + 1", "x**2", "(x", "x + (y))", "cos()"],
+    ["", " \t", "x +", "sin(x*y)", "sin(x^2)", "x ^ y", "z + 1", "x**2", "(x", "x + (y))", "cos()",
+     "x#c", "x^(2)", "x^-(2)", "x^(-2)", "x^+2", "x^2^3", "x^1e400", "0x1", "1_0", "1j", "True",
+     "'x'", "x.real", "x[0]", "sin(x, y)", "sin(x,)", "(sin)(x)", "sin(x=1)", "sin(*x)",
+     "x if y else 1", "lambda: x", "(x, y)", "x; y", "x // 2", "x % 2", "x @ y", "not x",
+     "\u03c0*x", "\U0001d465", "\u0661", "x\0", "x \\\n+ y", "1if x else 2"],
 )
 def test_parse_errors(bad):
-    with pytest.raises(ExpressionError):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(ExpressionError):
+        warnings.simplefilter("always")
         ex.parse(bad)
+    assert caught == []
 
 
 @pytest.mark.parametrize("text, message", [
@@ -91,10 +125,16 @@ def test_linear_coefficients():
     assert a == pytest.approx(math.pi)
 
 
-def test_trig_frequencies_and_degree():
-    node = ex.parse("x^2*y + sin(2*x + 3*y)")
-    assert ex.polynomial_degree(node) == 3
-    assert ex.trig_frequencies(node) == [(2.0, 3.0)]
+@pytest.mark.parametrize("text, pairs", [
+    ("x^2*y + sin(2*x + 3*y)", None),
+    ("sin(2*x + 3*y)", [(2.0, 3.0)]),
+    ("cos(x)/sin(y - 1)^2 - 3", [(1.0, 0.0), (0.0, 1.0)]),
+    ("x^0*cos(y)", [(0.0, 1.0)]),
+    ("sin(0.5*x)^0", []),
+    ("2", []),
+])
+def test_trig_frequencies(text, pairs):
+    assert ex.trig_frequencies(ex.parse(text)) == pairs
 
 
 def interpret(node, x, y):
@@ -206,11 +246,14 @@ def nested(depth):
 @pytest.mark.parametrize("walk", [
     lambda: ex.parse("(" * 400 + "x" + ")" * 400),
     lambda: ex.parse("sin(" * 300 + "x" + ")" * 300),
+    lambda: ex.parse("-" * 100000 + "x"),
+    lambda: ex.parse("+".join(["x"] * 100000)),
     lambda: ex.simplify(nested(1200)),
     lambda: ex.differentiate(nested(1200), "x"),
     lambda: ex.evaluate(nested(1200), 1.0, 2.0),
     lambda: ScalarField.from_expression("+".join(["x"] * 1200)),
-], ids=["parse", "parse-sin", "simplify", "differentiate", "compile", "field"])
+], ids=["parse", "parse-sin", "parse-minus", "parse-sum", "simplify", "differentiate", "compile",
+        "field"])
 def test_too_deep_a_tree_is_an_expression_error(walk):
     with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
         walk()

@@ -158,6 +158,14 @@ def _fold(tag, a, b):
         raise ExpressionError(f"constant {a!r}^{b!r} overflows") from None
 
 
+def _fold_trig(tag, a):
+    """sin(a) or cos(a) of a constant; ExpressionError where math raises (a infinite)."""
+    try:
+        return math.sin(a) if tag == "sin" else math.cos(a)
+    except ValueError:
+        raise ExpressionError(f"constant {tag}({a!r}) is not defined") from None
+
+
 def constant_value(node):
     """Value of a variable-free node, or None."""
     tag = node[0]
@@ -175,9 +183,7 @@ def constant_value(node):
         a = constant_value(node[1])
         return None if a is None else _fold("pow", a, node[2])
     a = constant_value(node[1])
-    if a is None:
-        return None
-    return math.sin(a) if tag == "sin" else math.cos(a)
+    return None if a is None else _fold_trig(tag, a)
 
 
 def linear_coefficients(node):
@@ -420,7 +426,7 @@ def _simplify(node):
         return ("pow", a, node[2])
     a = _simplify(node[1])
     if a[0] == "const":
-        return ("const", math.sin(a[1]) if tag == "sin" else math.cos(a[1]))
+        return ("const", _fold_trig(tag, a[1]))
     return (tag, a)
 
 

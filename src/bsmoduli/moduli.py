@@ -20,7 +20,6 @@ invariant under cyclic index rotation.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -175,56 +174,88 @@ def flat(p, v):
     return Covector(fweight=-v.tvec * th, tweight=v.fvec * th)
 
 
-@lru_cache(maxsize=8)
-def _fourier_basis(n):
-    """Euclid-orthonormal real Fourier basis of R^n (n even), as columns."""
-    s = np.arange(n) / float(n)
-    cols = [np.full(n, 1.0 / np.sqrt(n))]
-    for k in range(1, n // 2):
-        cols.append(np.sqrt(2.0 / n) * np.cos(2 * np.pi * k * s))
-        cols.append(np.sqrt(2.0 / n) * np.sin(2 * np.pi * k * s))
-    alternating = np.ones(n)
-    alternating[1::2] = -1.0
-    cols.append(alternating / np.sqrt(n))
-    out = np.stack(cols, axis=1)
-    out.setflags(write=False)
+def _fourier_weights(n):
+    """Scale from the float view of an orthonormal rfft to the real Fourier coefficients.
+
+    The view of rfft(x, norm="ortho") is Re z_0, Im z_0 = 0, Re z_1, Im z_1,
+    ..., Re z_{n/2}, Im z_{n/2} = 0; the coefficients are Re z_0, then
+    sqrt(2) Re z_k and -sqrt(2) Im z_k for k = 1 .. n/2 - 1, then Re z_{n/2}.
+    """
+    w = np.full(n, np.sqrt(2.0))
+    w[2::2] = -np.sqrt(2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _fourier_analysis(x):
+    """Coefficients of samples (last axis, n even) in the Euclid-orthonormal real Fourier basis.
+
+    The basis is the constant 1/sqrt(n), the pairs sqrt(2/n) cos(2 pi k s),
+    sqrt(2/n) sin(2 pi k s) for k = 1 .. n/2 - 1, and the alternating mode
+    (-1)^j / sqrt(n), in that order.  One ``rfft`` gives them all, scaled in
+    place in its float view, with Re z_0 moved into the empty slot of Im z_0.
+    """
+    z = np.ascontiguousarray(np.fft.rfft(x, axis=-1, norm="ortho")).view(float)
+    z[..., 1] = z[..., 0]
+    out = z[..., 1:-1]
+    out *= _fourier_weights(x.shape[-1])
     return out
 
 
-def _complement_basis(direction, fourier):
-    """Orthonormal basis of the orthogonal complement of one direction.
+def _fourier_synthesis(c):
+    """Samples of Fourier coefficients (last axis): the inverse of ``_fourier_analysis``."""
+    n = c.shape[-1]
+    z = np.empty(c.shape[:-1] + (n + 2,))
+    np.divide(c, _fourier_weights(n), out=z[..., 1:-1])
+    z[..., 0] = z[..., 1]
+    z[..., 1] = z[..., -1] = 0.0
+    return np.fft.irfft(z.view(complex), n, axis=-1, norm="ortho")
 
-    Built from Fourier modes (natural for periodic data) by one Householder
-    reflection in coefficient space, so orthonormality is exact to roundoff.
-    Returned columns have Euclidean norm sqrt(n), i.e. they are orthonormal
-    in the <a, b> = mean(a*b) inner product used everywhere else.
+
+def _complement_reflector(direction):
+    """Householder reflector (v, beta), H = I - beta v v^T, of one direction's Fourier coefficients.
+
+    H maps the direction's unit coefficient vector to a multiple of e_0, so
+    the columns 1 .. n-1 of F H (F the Fourier basis) are an orthonormal
+    basis of the direction's orthogonal complement, built from Fourier modes
+    (natural for periodic data) and orthonormal to roundoff.
     """
-    n = direction.shape[0]
-    unit = direction / np.linalg.norm(direction)
-    coeff = fourier.T @ unit
-    v = coeff.copy()
-    v[0] += np.copysign(1.0, coeff[0])
-    beta = 2.0 / (v @ v)
-    w = -beta * np.outer(v, v[1:])
-    w[1:, :] += np.eye(n - 1)
-    return (fourier @ w) * np.sqrt(n)
+    v = _fourier_analysis(direction / np.linalg.norm(direction))
+    v[0] += np.copysign(1.0, v[0])
+    return v, 2.0 / (v @ v)
+
+
+def _reflect(x, reflector):
+    """H x along the last axis, as the rank-one update x - beta (x . v) v."""
+    v, beta = reflector
+    return x - np.multiply.outer(beta * (x @ v), v)
 
 
 class OmegaMatrix:
     """Pairing matrix on an orthonormal basis of the constrained tangent space.
 
     The basis splits into a function block (constraint on f1) and a density
-    block (constraint on theta1), each of dimension N-1.  The pairing is
-    exactly block-off-diagonal,
+    block (constraint on theta1), each of dimension N-1: the columns
+    sqrt(N) F H_f E and sqrt(N) F H_t E, with F the orthonormal real Fourier
+    basis (``_fourier_analysis``), H_f and H_t the Householder reflectors of
+    theta0^2 and theta0 (``_complement_reflector``), and E the columns
+    1 .. N-1 of the identity.  The columns are orthonormal in the mean inner
+    product <a, b> = mean(a*b).  The pairing is exactly block-off-diagonal,
 
-        Omega = [[0, K], [-K^T, 0]],    K_ij = <bf_i * bt_j * theta0>,
+        Omega = [[0, K], [-K^T, 0]],    K = E^T H_f F^T diag(theta0) F H_t E,
 
     so the assembled matrix is antisymmetric by construction and its singular
-    values are those of K, each doubled.  In these bases K is multiplication
-    by theta0, taken from theta0^perp and projected onto (theta0^2)^perp.  A
-    compression raises no singular value, and K's inverse is ``sharp``'s
-    formula, t = f/theta0 - (<f>/<theta0^2>) theta0 with |t| <= |f|/min|theta0|,
-    so
+    values are those of K, each doubled.  No basis is held: K is assembled by
+    synthesizing the rows of (H_t E)^T with one ``irfft``, multiplying them by
+    theta0, analysing them with one ``rfft``, reflecting them by H_f as a
+    rank-one update and dropping the first column, in O(N^2 log N); the
+    basis coordinates go through the same analysis and synthesis.  The one
+    O(N^3) work is ``dense_sharp``'s two LU solves.
+
+    In these bases K is multiplication by theta0, taken from theta0^perp and
+    projected onto (theta0^2)^perp.  A compression raises no singular value,
+    and K's inverse is ``sharp``'s formula, t = f/theta0 - (<f>/<theta0^2>)
+    theta0 with |t| <= |f|/min|theta0|, so
 
         min|theta0| <= sigma_min(K) <= sigma_max(K) <= max|theta0|.
 
@@ -235,10 +266,14 @@ class OmegaMatrix:
     def __init__(self, p):
         n = p.n
         th = p.theta.values
-        fourier = _fourier_basis(n)
-        self.f_basis = _complement_basis(th**2, fourier)
-        self.t_basis = _complement_basis(th, fourier)
-        self.k_block = (self.f_basis.T * th) @ self.t_basis / n
+        self._f_reflector = _complement_reflector(th**2)
+        self._t_reflector = _complement_reflector(th)
+        v, beta = self._t_reflector
+        rows = np.multiply.outer(-beta * v[1:], v)
+        rows[:, 1:][np.diag_indices(n - 1)] += 1.0
+        t_rows = _fourier_synthesis(rows)
+        t_rows *= th
+        self.k_block = _reflect(_fourier_analysis(t_rows), self._f_reflector)[:, 1:].T
         magnitude = np.abs(th)
         self.sigma_lower_bound = float(magnitude.min())
         self.sigma_upper_bound = float(magnitude.max())
@@ -262,16 +297,28 @@ class OmegaMatrix:
         s = np.linalg.svd(self.k_block, compute_uv=False)
         return np.concatenate([s, s])
 
+    def _coefficients(self, reflector, samples):
+        """Mean inner products of samples (along the last axis) with one block's basis columns."""
+        return _reflect(_fourier_analysis(samples), reflector)[..., 1:] / np.sqrt(self.n)
+
+    def _samples(self, reflector, coefficients):
+        """Samples of the combination of one block's basis columns (along the last axis)."""
+        padded = np.insert(coefficients, 0, 0.0, axis=-1)
+        return _fourier_synthesis(_reflect(padded, reflector)) * np.sqrt(self.n)
+
     def coordinates(self, v):
         """Basis coefficients (xf, xt) of a constrained tangent vector."""
-        return self.f_basis.T @ v.fvec / self.n, self.t_basis.T @ v.tvec / self.n
+        return (self._coefficients(self._f_reflector, v.fvec),
+                self._coefficients(self._t_reflector, v.tvec))
 
     def from_coordinates(self, xf, xt):
-        return TangentVector(self.f_basis @ xf, self.t_basis @ xt)
+        return TangentVector(self._samples(self._f_reflector, xf),
+                             self._samples(self._t_reflector, xt))
 
     def covector_coefficients(self, ell):
         """Values of a Covector on the basis columns."""
-        return self.f_basis.T @ ell.fweight / self.n, self.t_basis.T @ ell.tweight / self.n
+        return (self._coefficients(self._f_reflector, ell.fweight),
+                self._coefficients(self._t_reflector, ell.tweight))
 
 
 def omega_matrix(p):
@@ -315,12 +362,14 @@ def dense_sharp(om, covectors):
     if not covectors:
         return []
     _require_pointwise_dual(om.sigma_lower_bound)
-    coefficients = [om.covector_coefficients(ell) for ell in covectors]
-    lf, lt = (np.stack(stack, axis=1) for stack in zip(*coefficients))
+    lf = om._coefficients(om._f_reflector, np.stack([ell.fweight for ell in covectors]))
+    lt = om._coefficients(om._t_reflector, np.stack([ell.tweight for ell in covectors]))
     # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.
-    xt = -np.linalg.solve(om.k_block, lf)
-    xf = np.linalg.solve(om.k_block.T, lt)
-    return [om.from_coordinates(xf[:, j], xt[:, j]) for j in range(len(covectors))]
+    xt = -np.linalg.solve(om.k_block, lf.T)
+    xf = np.linalg.solve(om.k_block.T, lt.T)
+    fvecs = om._samples(om._f_reflector, xf.T)
+    tvecs = om._samples(om._t_reflector, xt.T)
+    return [TangentVector(f, t) for f, t in zip(fvecs, tvecs)]
 
 
 def _normal_displacement(p, fvec):

@@ -167,10 +167,12 @@ class TestExitCodes:
         assert rows == []
 
     def test_tolerance_failure_is_numeric_exit(self, tmp_path):
+        # the target route's discretization error at N = 16 (a spread of
+        # 2.3e-11) fails the tolerance whatever the roundoff of the pairing
         cfg = {
             "tolerance": 1e-20,
-            "n_samples": 64,
-            "pairs": [["x^2", "y"]],
+            "n_samples": 16,
+            "pairs": [["sin(3*x)", "y"]],
             "loops": [{"type": "circle", "radius": 0.5641895835477563, "center": [0.3, -0.2]}],
             "densities": [{"type": "cosine"}],
         }
@@ -372,6 +374,10 @@ class TestExitCodes:
          "division by a constant zero"),
         ("flow", {"mode": "classical", "field": "x^1e400"}, "x^1e400",
          "exponent must be an integer in 'x^1e400'"),
+        ("flow", {"mode": "classical", "field": "sin(1e400)*x"}, "sin(1e400)*x",
+         "constant sin(inf) is not defined"),
+        ("bracket-check", {"pairs": [["x", "cos(-1e400)+y"]], "loops": [], "n_samples": 32},
+         "cos(-1e400)+y", "constant cos(-inf) is not defined"),
     ])
     def test_constant_arithmetic_is_a_config_error(self, tmp_path, capsys, command, config,
                                                    text, message):

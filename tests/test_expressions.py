@@ -89,10 +89,19 @@ def test_parse_errors(bad):
     ("sin(x/0)", "division by a constant zero"),
     ("cos(y*(1/0))", "division by a constant zero"),
     ("x*1e200^2", "constant 1e+200^2 overflows"),
+    ("sin(1e400)*x", "constant sin(inf) is not defined"),
+    ("x+cos(-1e400)", "constant cos(-inf) is not defined"),
+    ("sin(1e308*10)", "constant sin(inf) is not defined"),
 ])
 def test_constant_arithmetic_that_does_not_fold(text, message):
     with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
         ScalarField.from_expression(text)
+
+
+def test_simplify_names_trig_of_an_infinite_constant():
+    # parse already refuses these strings, so simplify sees such a tree only when built directly
+    with pytest.raises(ExpressionError, match=r"^constant cos\(inf\) is not defined$"):
+        ex.simplify(("mul", ("var", "x"), ("cos", ("const", math.inf))))
 
 
 @pytest.mark.parametrize("text, c", [("1e400*x", math.inf), ("1e308*10*x", math.inf),

@@ -23,7 +23,6 @@ from bsmoduli import (
     SymplecticSurface,
     bracket_report,
     measure_bracket_sign,
-    omega_matrix,
     project_to_bs,
 )
 
@@ -39,12 +38,11 @@ print("frozen orientation sigma =", BRACKET_SIGN)
 print("re-measured on a reference instance:", measure_bracket_sign(point))
 
 pairs = [("x", "y"), ("x^2", "y"), ("sin(x)", "y"), ("x*y", "x^2-y^2")]
-om = omega_matrix(point)
 print(f"\n{'f':8s} {'g':10s} {'matrix':>12s} {'closed':>12s} {'target':>12s} {'spread':>9s}")
 for fs, gs in pairs:
     f = ScalarField.from_expression(fs)
     g = ScalarField.from_expression(gs)
-    rep = bracket_report(f, g, point, om=om)
+    rep = bracket_report(f, g, point)
     print(f"{fs:8s} {gs:10s} {rep['matrix']:12.8f} {rep['closed_form']:12.8f} "
           f"{rep['target']:12.8f} {rep['rel_spread']:9.1e}")
 
@@ -57,7 +55,7 @@ from bsmoduli import moduli_bracket
 
 for i in range(3):
     for j in range(i + 1, 3):
-        val = moduli_bracket(powers[i], powers[j], point, om=om)
+        val = moduli_bracket(powers[i], powers[j], point)
         print(f"  {{F_(p^{i+1}), F_(p^{j+1})}} = {val:.2e}")
 
 # But the correspondence is not multiplicative: F_{x^2} != (F_x)^2.

@@ -181,6 +181,58 @@ def _is_finite_pair(value):
         return False
 
 
+def _tolerance(value, key):
+    """A config tolerance: a finite number >= 0 that is not a bool."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and value >= 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f'"{key}" must be a finite number >= 0, got {value!r}')
+    return value
+
+
+def _resolve_tolerance(override, config, default):
+    """The ``--tol`` override, else the config's "tolerance" (``default`` when absent), checked."""
+    if override is not None:
+        return override
+    return _tolerance(config.get("tolerance", default), "tolerance")
+
+
+def _count(value, key):
+    """A config count as an int: an integral number that is not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
+def _sample_counts(config, default):
+    """The list "sample_counts", else the one count "n_samples" (``default`` when absent)."""
+    if "sample_counts" not in config:
+        return [_count(config.get("n_samples", default), "n_samples")]
+    counts = config["sample_counts"]
+    if not isinstance(counts, list):
+        raise ConfigError(f'"sample_counts" must be a list of integers, got {counts!r}')
+    return [_count(n, "sample_counts") for n in counts]
+
+
+def _flag(value, key):
+    """A config flag: a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ConfigError(f'"{key}" must be true or false, got {value!r}')
+    return value
+
+
+def _tolerance_arg(text):
+    """The ``--tol`` value: a finite number >= 0, else a usage error."""
+    try:
+        return _tolerance(float(text), "--tol")
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
+
+
 def _loop_center(spec):
     center = spec.get("center", [0.0, 0.0])
     if not _is_finite_pair(center):
@@ -275,6 +327,7 @@ def build_loop(spec, n, surface):
     _require_object(spec, "loop")
     kind = spec.get("type")
     center = _loop_center(spec)
+    project = _flag(spec.get("project", False), "project")
     try:
         if kind == "circle":
             loop = Loop.circle(spec["radius"], center=center, n=n,
@@ -290,7 +343,7 @@ def build_loop(spec, n, surface):
             raise ConfigError(f"unknown loop type {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"loop spec missing key {exc}") from exc
-    if spec.get("project", False):
+    if project:
         loop = project_to_bs(loop, surface)
     return loop
 
@@ -321,8 +374,9 @@ def cmd_bracket_check(config, seed, tolerance):
             'bracket-check no longer takes "scale": scale the field expressions '
             'instead, e.g. "2*x" for x'
         )
-    tol = tolerance if tolerance is not None else config.get("tolerance", 1e-6)
-    counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 512)])]
+    tol = _resolve_tolerance(tolerance, config, 1e-6)
+    counts = _sample_counts(config, 512)
+    dump = _flag(config.get("dump_singular_values", False), "dump_singular_values")
     surface = build_surface(config.get("surface"))
     pairs = config.get("pairs", [])
     loop_specs = config.get("loops", [])
@@ -342,14 +396,13 @@ def cmd_bracket_check(config, seed, tolerance):
     rows = []
     singular_rows = []
     for label_l, label_d, point in instances:
-        om = omega_matrix(point)
-        if config.get("dump_singular_values", False):
-            for idx, value in enumerate(np.sort(om.singular_values())[::-1]):
+        if dump:
+            for idx, value in enumerate(np.sort(omega_matrix(point).singular_values())[::-1]):
                 singular_rows.append(
                     {"loop": label_l, "density": label_d, "index": idx, "sigma_k": float(value)}
                 )
         try:
-            reports = bracket_reports(field_pairs, point, om=om)
+            reports = bracket_reports(field_pairs, point)
         except GeometryError as exc:
             raise type(exc)(f"bracket-check on loop {label_l}, density {label_d}: {exc}") from exc
         for (fs, gs), rep in zip(pairs, reports):
@@ -380,10 +433,11 @@ def cmd_bracket_check(config, seed, tolerance):
 
 
 def cmd_identity_check(config, seed, tolerance):
-    tol_point = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
-    tol_compat = float(config.get("tolerance_compat", 1e-12))
+    tol_point = _resolve_tolerance(tolerance, config, 1e-8)
+    tol_compat = float(_tolerance(config.get("tolerance_compat", 1e-12), "tolerance_compat"))
+    counts = _sample_counts(config, 256)
+    dump = _flag(config.get("dump_loop_diagnostics", False), "dump_loop_diagnostics")
     surface = build_surface(config.get("surface"))
-    counts = [int(n) for n in config.get("sample_counts", [config.get("n_samples", 256)])]
     pairs = config.get("pairs", [])
     loop_specs = config.get("loops", [])
     field_pairs = _build_field_pairs(pairs)
@@ -413,7 +467,7 @@ def cmd_identity_check(config, seed, tolerance):
     columns = ["f", "g", "loop", "n", "restriction_residual",
                "compat_residual_1", "compat_residual_2", "status"]
     outputs = {"identity_check.csv": (columns, rows)}
-    if config.get("dump_loop_diagnostics", False) and counts:
+    if dump and counts:
         diag_rows = []
         for li, (lspec, loop) in enumerate(zip(loop_specs, loops[counts[-1]])):
             table = sample_diagnostics(loop)
@@ -452,11 +506,11 @@ def cmd_flow(config, seed, tolerance):
         ]
         return tol, {"flow_classical.csv": (["t", "x", "y", "f"], rows)}
     if mode == "moduli":
-        n = int(config.get("n_samples", 128))
+        n = _count(config.get("n_samples", 128), "n_samples")
+        snapshot_every = _count(config.get("snapshot_every", 0), "snapshot_every")
         loop = build_loop(config["loop"], n, surface)
         theta = build_density(config.get("density", {"type": "uniform"}), n)
         p0 = ModuliPoint(surface, loop, theta)
-        snapshot_every = int(config.get("snapshot_every", 0))
         traj = flow_moduli(f, p0, t_final, step, snapshot_every=snapshot_every)
         rows = [
             {
@@ -484,13 +538,14 @@ def cmd_flow(config, seed, tolerance):
 
 
 def cmd_bs_scan(config, seed, tolerance):
-    tol = tolerance if tolerance is not None else config.get("tolerance", 1e-9)
+    tol = _resolve_tolerance(tolerance, config, 1e-9)
     surface = build_surface(config.get("surface"))
-    n = int(config.get("n_samples", 256))
+    n = _count(config.get("n_samples", 256), "n_samples")
     spec = config.get("loop", {"type": "circle", "radius": 1.0})
     _require_object(spec, "loop")
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
-    values = np.linspace(float(sweep["start"]), float(sweep["stop"]), int(sweep["count"]))
+    count = _count(sweep["count"], "radii.count")
+    values = np.linspace(float(sweep["start"]), float(sweep["stop"]), count)
     circle = spec.get("type") == "circle"
     if circle:
         center = _loop_center(spec)
@@ -518,9 +573,9 @@ def cmd_bs_scan(config, seed, tolerance):
 
 
 def cmd_qm_check(config, seed, tolerance):
-    tol = tolerance if tolerance is not None else config.get("tolerance", 1e-8)
-    n = int(config.get("dimension", 4))
-    instances = int(config.get("instances", 100))
+    tol = _resolve_tolerance(tolerance, config, 1e-8)
+    n = _count(config.get("dimension", 4), "dimension")
+    instances = _count(config.get("instances", 100), "instances")
     if n < 2:
         raise ConfigError(f'"dimension" must be at least 2, got {n}')
     if instances < 1:
@@ -615,11 +670,11 @@ def cmd_convergence(config, seed, tolerance):
         "cases",
         ["derivative_bandlimited", "derivative_analytic", "quadrature_analytic", "action_circle"],
     )
-    counts = config.get("sample_counts", [16, 32, 64, 128, 256])
+    counts = _sample_counts(config, None) if "sample_counts" in config else [16, 32, 64, 128, 256]
     rows = []
     for case in cases:
         for n in counts:
-            rows.append({"case": case, "n": int(n), "error": _convergence_case(case, int(n))})
+            rows.append({"case": case, "n": n, "error": _convergence_case(case, n)})
     tol = tolerance if tolerance is not None else 0.0
     return tol, {"convergence.csv": (["case", "n", "error"], rows)}
 
@@ -640,7 +695,7 @@ def build_parser():
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=_tolerance_arg, default=None, help="tolerance override")
     return parser
 
 
@@ -654,7 +709,7 @@ def main(argv=None):
         config = load_config(args.config)
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _count(config.get("seed", 0), "seed")
         tol, outputs = COMMANDS[args.command](config, seed, args.tol)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"bsq: config error: {exc}", file=sys.stderr)

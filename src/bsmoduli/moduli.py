@@ -297,28 +297,23 @@ class OmegaMatrix:
         s = np.linalg.svd(self.k_block, compute_uv=False)
         return np.concatenate([s, s])
 
-    def _coefficients(self, reflector, samples):
-        """Mean inner products of samples (along the last axis) with one block's basis columns."""
-        return _reflect(_fourier_analysis(samples), reflector)[..., 1:] / np.sqrt(self.n)
+    def coordinates(self, fvec, tvec):
+        """Basis coefficients (xf, xt) of function and density parts, along the last axis.
 
-    def _samples(self, reflector, coefficients):
-        """Samples of the combination of one block's basis columns (along the last axis)."""
-        padded = np.insert(coefficients, 0, 0.0, axis=-1)
-        return _fourier_synthesis(_reflect(padded, reflector)) * np.sqrt(self.n)
-
-    def coordinates(self, v):
-        """Basis coefficients (xf, xt) of a constrained tangent vector."""
-        return (self._coefficients(self._f_reflector, v.fvec),
-                self._coefficients(self._t_reflector, v.tvec))
+        On a constrained tangent vector they are its coordinates; on a
+        covector's two weights, the covector's values on the basis columns.
+        """
+        return tuple(
+            _reflect(_fourier_analysis(x), reflector)[..., 1:] / np.sqrt(self.n)
+            for x, reflector in ((fvec, self._f_reflector), (tvec, self._t_reflector))
+        )
 
     def from_coordinates(self, xf, xt):
-        return TangentVector(self._samples(self._f_reflector, xf),
-                             self._samples(self._t_reflector, xt))
-
-    def covector_coefficients(self, ell):
-        """Values of a Covector on the basis columns."""
-        return (self._coefficients(self._f_reflector, ell.fweight),
-                self._coefficients(self._t_reflector, ell.tweight))
+        """Samples (fvec, tvec) of the basis combinations with coefficients xf, xt (last axis)."""
+        return tuple(
+            _fourier_synthesis(_reflect(np.insert(x, 0, 0.0, axis=-1), reflector)) * np.sqrt(self.n)
+            for x, reflector in ((xf, self._f_reflector), (xt, self._t_reflector))
+        )
 
 
 def omega_matrix(p):
@@ -362,14 +357,12 @@ def dense_sharp(om, covectors):
     if not covectors:
         return []
     _require_pointwise_dual(om.sigma_lower_bound)
-    lf = om._coefficients(om._f_reflector, np.stack([ell.fweight for ell in covectors]))
-    lt = om._coefficients(om._t_reflector, np.stack([ell.tweight for ell in covectors]))
+    lf, lt = om.coordinates(np.stack([ell.fweight for ell in covectors]),
+                            np.stack([ell.tweight for ell in covectors]))
     # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.
     xt = -np.linalg.solve(om.k_block, lf.T)
     xf = np.linalg.solve(om.k_block.T, lt.T)
-    fvecs = om._samples(om._f_reflector, xf.T)
-    tvecs = om._samples(om._t_reflector, xt.T)
-    return [TangentVector(f, t) for f, t in zip(fvecs, tvecs)]
+    return [TangentVector(f, t) for f, t in zip(*om.from_coordinates(xf.T, xt.T))]
 
 
 def _normal_displacement(p, fvec):

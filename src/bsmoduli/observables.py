@@ -122,7 +122,7 @@ def hamiltonian_field_H(f, p):
     return sharp(p, differential_covector(f, p))
 
 
-def moduli_bracket(f, g, p, method="matrix", om=None):
+def moduli_bracket(f, g, p, method="matrix"):
     """Moduli-space bracket of two induced observables, three evaluation routes.
 
     matrix       evaluate the pairing on the two Hamiltonian fields: the
@@ -140,8 +140,7 @@ def moduli_bracket(f, g, p, method="matrix", om=None):
     if method not in BRACKET_METHODS:
         raise ValueError(f"unknown bracket method {method!r}")
     if method == "matrix":
-        if om is None:
-            om = omega_matrix(p)
+        om = omega_matrix(p)
         h_f, h_g = (dense_sharp(om, [differential_covector(h, p)])[0] for h in (f, g))
         return omega(p, h_f, h_g)
     if method == "closed_form":
@@ -168,31 +167,32 @@ def _report(f, g, p, matrix_value):
     return values
 
 
-def bracket_report(f, g, p, om=None):
+def bracket_report(f, g, p):
     """All three bracket values plus their relative spread.
 
     The routes run under ``np.errstate(all="ignore")``; a route value that
     is not finite raises GeometryError naming the route, not a raw warning.
     """
     with np.errstate(all="ignore"):
-        return _report(f, g, p, moduli_bracket(f, g, p, "matrix", om=om))
+        return _report(f, g, p, moduli_bracket(f, g, p, "matrix"))
 
 
-def bracket_reports(pairs, p, om=None):
+def bracket_reports(pairs, p):
     """bracket_report of every (f, g) pair at one point.
 
     The matrix route takes every Hamiltonian field from one ``dense_sharp``
-    call, with each distinct field object dualized once; the values agree
+    call on one pairing matrix, built only when there is a pair, with each
+    distinct field object dualized once; the values agree
     with bracket_report's, which solves for one field at a time, to solve
     roundoff.  As there, a GeometryError of a pair, a value that is not
     finite included, is raised naming the pair's index in ``pairs``.
     """
+    if not pairs:
+        return []
     with np.errstate(all="ignore"):
         distinct = {id(h): h for pair in pairs for h in pair}
-        if om is None and distinct:
-            om = omega_matrix(p)
         covectors = [differential_covector(h, p) for h in distinct.values()]
-        fields = dict(zip(distinct, dense_sharp(om, covectors)))
+        fields = dict(zip(distinct, dense_sharp(omega_matrix(p), covectors)))
         reports = []
         for j, (f, g) in enumerate(pairs):
             try:

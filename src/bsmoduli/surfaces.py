@@ -210,35 +210,6 @@ def _require_positive_density(w):
         raise ValueError("omega density must be positive at every sampled point")
 
 
-def rotate90(v):
-    """The chart rotation J: (u_x, u_y) -> (-u_y, u_x), applied along the last axis."""
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
-
-
-class CompatibleStructure:
-    """Hermitian triple (g, J, omega) induced by the chart rotation J."""
-
-    def __init__(self, surface):
-        self.surface = surface
-
-    def j(self, v):
-        return rotate90(v)
-
-    def metric(self, u, v, x, y):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.surface.density(x, y) * (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1])
-
-    def omega(self, u, v, x, y):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self.surface.density(x, y) * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-
-
 def _field_and_density(f, surface, p):
     """X_f at p and the density w it was divided by; w is 1.0 on a unit-density surface.
 

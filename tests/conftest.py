@@ -9,6 +9,7 @@ from bsmoduli import (
     SymplecticSurface,
     project_to_bs,
 )
+from bsmoduli import moduli
 
 
 @pytest.fixture
@@ -35,6 +36,20 @@ def ellipse_point(plane):
     n = 128
     loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
     return ModuliPoint(plane, loop, HalfDensity.cosine_profile(n))
+
+
+@pytest.fixture
+def pairings_built(monkeypatch):
+    """The points of every OmegaMatrix built from here on, however it is reached."""
+    built = []
+
+    class Counted(moduli.OmegaMatrix):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(moduli, "OmegaMatrix", Counted)
+    return built
 
 
 def observed_orders(errors):

@@ -85,9 +85,8 @@ def test_criterion_01_bracket_three_way_agreement():
     for loop in loops.values():
         for theta in densities.values():
             point = ModuliPoint(PLANE, loop, theta)
-            om = omega_matrix(point)
             for fs, gs in FIELD_PAIRS:
-                rep = bracket_report(expr(fs), expr(gs), point, om=om)
+                rep = bracket_report(expr(fs), expr(gs), point)
                 worst = max(worst, rep["rel_spread"])
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed <= 60.0
@@ -236,12 +235,11 @@ def test_criterion_06_stationary_cycles():
 def test_criterion_07_commuting_family_and_non_multiplicativity():
     n = 256
     point = ModuliPoint(PLANE, acceptance_loops(n)["ellipse"], HalfDensity.cosine_profile(n))
-    om = omega_matrix(point)
     powers = [expr("x^2+y^2"), expr("(x^2+y^2)^2"), expr("(x^2+y^2)^3")]
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
-            worst = max(worst, abs(moduli_bracket(powers[i], powers[j], point, om=om)))
+            worst = max(worst, abs(moduli_bracket(powers[i], powers[j], point)))
 
     unit_circle = ModuliPoint(PLANE, Loop.circle(1.0, n=n), HalfDensity.uniform(n), strict=False)
     product, separate = non_multiplicativity_witness(expr("x"), expr("x"), unit_circle)
@@ -257,10 +255,9 @@ def test_criterion_07_commuting_family_and_non_multiplicativity():
 def test_criterion_08_scale_factor():
     n = 128
     point = ModuliPoint(PLANE, acceptance_loops(n)["circle"], HalfDensity.cosine_profile(n))
-    om = omega_matrix(point)
     f, g = expr("x"), expr("x^2+y^2")
-    base = moduli_bracket(f, g, point, om=om)
-    scaled = moduli_bracket(2.0 * f, 2.0 * g, point, om=om)
+    base = moduli_bracket(f, g, point)
+    scaled = moduli_bracket(2.0 * f, 2.0 * g, point)
     rel = abs(scaled / base - 4.0)
     ok = rel <= 1e-9
     report(8, ok, f"doubling both fields scales the bracket by 4 (relative error {rel:.2e} <= 1e-9)")

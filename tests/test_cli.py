@@ -100,21 +100,13 @@ class TestExitCodes:
         }
         assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
 
-    def test_bad_last_pair_fails_before_numerics(self, tmp_path, monkeypatch):
-        calls = []
-        real = cli.omega_matrix
-
-        def counted(p):
-            calls.append(p)
-            return real(p)
-
-        monkeypatch.setattr(cli, "omega_matrix", counted)
+    def test_bad_last_pair_fails_before_numerics(self, tmp_path, pairings_built):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 32
         cfg["pairs"].append(["x", "x+*y"])
         assert run("bracket-check", cfg, tmp_path) == EXIT_CONFIG
         assert not (tmp_path / "bracket_check.csv").exists()
-        assert calls == []
+        assert pairings_built == []
 
     def test_identity_check_bad_last_pair_fails_before_numerics(self, tmp_path, monkeypatch):
         calls = []
@@ -565,6 +557,106 @@ class TestExitCodes:
             assert list(inspect.signature(runner).parameters) == ["config", "seed", "tolerance"]
 
 
+# One small config per command that runs with no tolerance, count or flag of its own.
+SMALL = {
+    "bracket-check": {"pairs": [["x", "y"]], "n_samples": 32,
+                      "loops": [{"type": "circle", "radius": 0.5641895835477563}]},
+    "identity-check": {"pairs": [["x", "y"]], "sample_counts": [32], "loops": [LOOP]},
+    "flow": {"mode": "moduli", "field": "x", "n_samples": 32, "t_final": 0.01, "step": 0.01,
+             "loop": {"type": "ellipse", "a": 1.3, "b": 0.8, "project": True}},
+    "bs-scan": {"n_samples": 32, "radii": {"start": 0.3, "stop": 1.3, "count": 3}},
+    "qm-check": {"dimension": 2, "instances": 2, "t_final": 0.01, "step": 0.01},
+    "convergence": {"cases": ["quadrature_analytic"], "sample_counts": [16]},
+}
+
+
+def assert_config_error(tmp_path, capsys, command, config, message):
+    assert run(command, config, tmp_path) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"bsq: config error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command,key", [
+        ("bracket-check", "tolerance"),
+        ("identity-check", "tolerance"),
+        ("identity-check", "tolerance_compat"),
+        ("bs-scan", "tolerance"),
+        ("qm-check", "tolerance"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-6, None, True, "1e-6"])
+    def test_a_tolerance_is_a_finite_number_at_least_zero(
+            self, tmp_path, capsys, pairings_built, command, key, value):
+        config = dict(SMALL[command], **{key: value})
+        shown = json.loads(json.dumps(value))
+        message = f'"{key}" must be a finite number >= 0, got {shown!r}'
+        assert_config_error(tmp_path, capsys, command, config, message)
+        assert pairings_built == []
+
+    def test_a_zero_tolerance_is_a_tolerance(self, tmp_path):
+        assert run("bs-scan", dict(SMALL["bs-scan"], tolerance=0), tmp_path) == EXIT_OK
+        assert "# tolerance = 0\n" in (tmp_path / "bs_scan.csv").read_text()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-0.5", "tiny"])
+    def test_the_tol_flag_is_a_finite_number_at_least_zero(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SMALL["bs-scan"]))
+        argv = ["bs-scan", "--config", str(path), "--out", str(tmp_path), "--tol", text]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --tol: must be a finite number >= 0, got {text!r}\n" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command,update,key,value", [
+        ("bracket-check", {"sample_counts": [64.5]}, "sample_counts", 64.5),
+        ("bracket-check", {"n_samples": 64.7}, "n_samples", 64.7),
+        ("bracket-check", {"n_samples": True}, "n_samples", True),
+        ("identity-check", {"sample_counts": [64, 64.5]}, "sample_counts", 64.5),
+        ("identity-check", {"sample_counts": ["64"]}, "sample_counts", "64"),
+        ("flow", {"n_samples": 64.7}, "n_samples", 64.7),
+        ("flow", {"snapshot_every": 2.5}, "snapshot_every", 2.5),
+        ("bs-scan", {"n_samples": 64.7}, "n_samples", 64.7),
+        ("bs-scan", {"radii": {"start": 0.3, "stop": 1.3, "count": 2.7}}, "radii.count", 2.7),
+        ("qm-check", {"instances": 3.9}, "instances", 3.9),
+        ("qm-check", {"dimension": 2.5}, "dimension", 2.5),
+        ("qm-check", {"dimension": None}, "dimension", None),
+        ("convergence", {"sample_counts": [16.5]}, "sample_counts", 16.5),
+        ("convergence", {"seed": 1.5}, "seed", 1.5),
+    ])
+    def test_a_count_is_an_integer(self, tmp_path, capsys, pairings_built, command, update,
+                                   key, value):
+        config = dict(SMALL[command], **update)
+        assert_config_error(tmp_path, capsys, command, config,
+                            f'"{key}" must be an integer, got {value!r}')
+        assert pairings_built == []
+
+    @pytest.mark.parametrize("command", ["bracket-check", "identity-check", "convergence"])
+    def test_sample_counts_is_a_list(self, tmp_path, capsys, command):
+        config = dict(SMALL[command], sample_counts=32)
+        assert_config_error(tmp_path, capsys, command, config,
+                            '"sample_counts" must be a list of integers, got 32')
+
+    def test_an_integral_float_is_a_count(self, tmp_path):
+        config = dict(SMALL["bracket-check"], n_samples=32.0)
+        assert run("bracket-check", config, tmp_path) == EXIT_OK
+        assert [row["n"] for row in read_rows(tmp_path / "bracket_check.csv")] == ["32"]
+
+    @pytest.mark.parametrize("command,update,key,value", [
+        ("bracket-check", {"dump_singular_values": "no"}, "dump_singular_values", "no"),
+        ("bracket-check", {"loops": [{"type": "circle", "radius": 0.56, "project": "no"}]},
+         "project", "no"),
+        ("identity-check", {"dump_loop_diagnostics": 1}, "dump_loop_diagnostics", 1),
+        ("flow", {"loop": {"type": "ellipse", "a": 1.3, "b": 0.8, "project": 1}}, "project", 1),
+    ])
+    def test_a_flag_is_a_json_boolean(self, tmp_path, capsys, pairings_built, command, update,
+                                      key, value):
+        config = dict(SMALL[command], **update)
+        assert_config_error(tmp_path, capsys, command, config,
+                            f'"{key}" must be true or false, got {value!r}')
+        assert pairings_built == []
+
+
 class TestReports:
     def test_bracket_check_default_config_passes(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
@@ -756,8 +848,8 @@ class TestDeterminism:
         return counts
 
     @pytest.mark.parametrize("pair_count", [1, 5])
-    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pair_count):
-        # the pairing is certified by its closed-form enclosure, with no SVD
+    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pairings_built, pair_count):
+        # the pairing is certified by its closed-form enclosure, with no SVD, and built once
         counts = self.count_linalg(monkeypatch)
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 64
@@ -765,8 +857,11 @@ class TestDeterminism:
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
         assert counts == {"solve": 2 * instances, "svd": 0}
+        assert len(pairings_built) == instances
 
-    def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch):
+    def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch,
+                                                               pairings_built):
+        # the dump builds a second pairing for its SVD
         counts = self.count_linalg(monkeypatch)
         n = 32
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
@@ -774,6 +869,7 @@ class TestDeterminism:
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
         assert counts == {"solve": 2 * instances, "svd": instances}
+        assert len(pairings_built) == 2 * instances
         rows = read_rows(tmp_path / "omega_singular_values.csv")
         assert len(rows) == instances * 2 * (n - 1)
 

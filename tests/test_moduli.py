@@ -181,18 +181,17 @@ class TestOmegaMatrix:
         for _ in range(5):
             v1 = random_tangent(p, rng)
             v2 = random_tangent(p, rng)
-            x1 = np.concatenate(om.coordinates(v1))
-            x2 = np.concatenate(om.coordinates(v2))
+            x1 = np.concatenate(om.coordinates(v1.fvec, v1.tvec))
+            x2 = np.concatenate(om.coordinates(v2.fvec, v2.tvec))
             assert x1 @ om.matrix @ x2 == pytest.approx(omega(p, v1, v2), abs=1e-12)
 
     def test_basis_reproduces_vectors(self, ellipse_point, rng):
         p = ellipse_point
         om = omega_matrix(p)
         v = random_tangent(p, rng)
-        xf, xt = om.coordinates(v)
-        again = om.from_coordinates(xf, xt)
-        assert np.max(np.abs(again.fvec - v.fvec)) < 1e-12
-        assert np.max(np.abs(again.tvec - v.tvec)) < 1e-12
+        fvec, tvec = om.from_coordinates(*om.coordinates(v.fvec, v.tvec))
+        assert np.max(np.abs(fvec - v.fvec)) < 1e-12
+        assert np.max(np.abs(tvec - v.tvec)) < 1e-12
 
 
 def explicit_fourier_basis(n):
@@ -304,7 +303,7 @@ class TestDenseReference:
                     assert np.max(np.abs(got.fvec - want[name].fvec)) <= 1e-13 * scale
                     assert np.max(np.abs(got.tvec - want[name].tvec)) <= 1e-13 * scale
                 fields = [(expr(fs), expr(gs)) for fs, gs in pairs]
-                reports = bracket_reports(fields, p, om=om)
+                reports = bracket_reports(fields, p)
                 for (fs, gs), (f, g), report in zip(pairs, fields, reports):
                     reference = {
                         "matrix": omega(p, want[fs], want[gs]),
@@ -319,8 +318,7 @@ class TestDenseReference:
         om = omega_matrix(p)
         th = p.theta.values
         eye = np.eye(p.n - 1)
-        for reflector, direction in ((om._f_reflector, th**2), (om._t_reflector, th)):
-            basis = om._samples(reflector, eye)
+        for basis, direction in zip(om.from_coordinates(eye, eye), (th**2, th)):
             np.testing.assert_allclose(basis @ basis.T / p.n, eye, rtol=0, atol=1e-13)
             assert np.max(np.abs(basis @ direction / p.n)) < 1e-14
 
@@ -417,12 +415,12 @@ class TestSharp:
         for _ in range(3):
             ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
             (got,) = dense_sharp(om, [ell])
-            lf, lt = om.covector_coefficients(ell)
-            single = om.from_coordinates(
+            lf, lt = om.coordinates(ell.fweight, ell.tweight)
+            fvec, tvec = om.from_coordinates(
                 np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
             )
-            assert np.array_equal(got.fvec, single.fvec)
-            assert np.array_equal(got.tvec, single.tvec)
+            assert np.array_equal(got.fvec, fvec)
+            assert np.array_equal(got.tvec, tvec)
 
 
 class TestRealizeTangent:

@@ -9,6 +9,7 @@ from bsmoduli import (
     Loop,
     ModuliPoint,
     SingularPairing,
+    TangentVector,
     bracket_report,
     compatibility_residuals,
     differential_covector,
@@ -245,15 +246,16 @@ class TestHamiltonianFields:
         om = omega_matrix(p)
 
         def single_rhs_dual(f):
-            lf, lt = om.covector_coefficients(differential_covector(f, p))
-            return om.from_coordinates(
+            ell = differential_covector(f, p)
+            lf, lt = om.coordinates(ell.fweight, ell.tweight)
+            return TangentVector(*om.from_coordinates(
                 np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
-            )
+            ))
 
         fields = [expr(text) for text in SHIPPED_FIELDS]
         for f, g in zip(fields, fields[1:] + fields[:1]):
             want = omega(p, single_rhs_dual(f), single_rhs_dual(g))
-            assert moduli_bracket(f, g, p, om=om) == want
+            assert moduli_bracket(f, g, p) == want
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_batch_matches_per_field_duals(self, plane, n):
@@ -295,9 +297,8 @@ def singular_pairing_point(plane):
 
 
 class TestBracketReports:
-    def test_matches_single_pair_reports(self, ellipse_point, monkeypatch):
+    def test_matches_single_pair_reports(self, ellipse_point, monkeypatch, pairings_built):
         p = ellipse_point
-        om = omega_matrix(p)
         x, y, r2 = expr("x"), expr("y"), expr("x^2+y^2")
         scaled = 1.7 * expr("x*y")
         pairs = [(x, y), (x, r2), (scaled, y), (r2, scaled), (y, y)]
@@ -309,18 +310,20 @@ class TestBracketReports:
             return real(f, q)
 
         monkeypatch.setattr(observables, "differential_covector", counted)
-        reports = bracket_reports(pairs, p, om)
+        reports = bracket_reports(pairs, p)
+        assert pairings_built == [p]
         monkeypatch.undo()
         assert len(dualized) == 4
         for (f, g), got in zip(pairs, reports):
-            want = bracket_report(f, g, p, om=om)
+            want = bracket_report(f, g, p)
             assert got["closed_form"] == want["closed_form"]
             assert got["target"] == want["target"]
             assert got["matrix"] == pytest.approx(want["matrix"], rel=1e-13, abs=1e-13)
             assert got["rel_spread"] < 1e-10
 
-    def test_no_pairs(self, ellipse_point):
+    def test_no_pairs(self, ellipse_point, pairings_built):
         assert bracket_reports([], ellipse_point) == []
+        assert pairings_built == []
 
     @pytest.mark.filterwarnings("error")
     def test_a_bracket_that_is_not_finite_is_a_geometry_error(self, ellipse_point):
@@ -367,36 +370,33 @@ class TestModuliBracket:
 
     def test_antisymmetry_and_bilinearity(self, ellipse_point, rng):
         p = ellipse_point
-        om = omega_matrix(p)
         f = expr("x^2*y")
         g = expr("sin(x)")
         h = expr("y^2")
-        assert moduli_bracket(f, g, p, om=om) == pytest.approx(
-            -moduli_bracket(g, f, p, om=om), abs=1e-10
+        assert moduli_bracket(f, g, p) == pytest.approx(
+            -moduli_bracket(g, f, p), abs=1e-10
         )
         a, b = 1.75, -0.4
         combined = a * f + b * h
-        assert moduli_bracket(combined, g, p, om=om) == pytest.approx(
-            a * moduli_bracket(f, g, p, om=om) + b * moduli_bracket(h, g, p, om=om),
+        assert moduli_bracket(combined, g, p) == pytest.approx(
+            a * moduli_bracket(f, g, p) + b * moduli_bracket(h, g, p),
             abs=1e-10,
         )
 
     def test_commuting_family(self, ellipse_point):
         p = ellipse_point
-        om = omega_matrix(p)
         f1 = expr("x^2+y^2")
         f2 = expr("(x^2+y^2)^2")
         f3 = expr("(x^2+y^2)^3")
         for a, b in ((f1, f2), (f1, f3), (f2, f3)):
-            assert abs(moduli_bracket(a, b, p, om=om)) < 3e-8
+            assert abs(moduli_bracket(a, b, p)) < 3e-8
 
     def test_scale_factor_squares(self, ellipse_point):
         p = ellipse_point
-        om = omega_matrix(p)
         f = expr("x")
         g = expr("x^2+y^2")
-        base = moduli_bracket(f, g, p, om=om)
-        scaled = moduli_bracket(2.0 * f, 2.0 * g, p, om=om)
+        base = moduli_bracket(f, g, p)
+        scaled = moduli_bracket(2.0 * f, 2.0 * g, p)
         assert scaled / base == pytest.approx(4.0, rel=1e-9)
 
     def test_scaled_target_tracks_tau_linearly(self, ellipse_point):
@@ -412,15 +412,23 @@ class TestModuliBracket:
         p = ellipse_point
         f = expr("x^2+y^2")
         g = expr("x")
-        om = omega_matrix(p)
-        (h,) = dense_sharp(om, [differential_covector(f, p)])
-        expected = moduli_bracket(g, f, p, om=om)
+        (h,) = dense_sharp(omega_matrix(p), [differential_covector(f, p)])
+        expected = moduli_bracket(g, f, p)
         base = evaluate_F(g, p)
         errors = []
         for t in (1e-3, 5e-4, 2.5e-4):
             slope = (evaluate_F(g, realize_tangent(p, h, t)) - base) / t
             errors.append(abs(slope - expected))
         assert np.all(observed_orders(errors) >= 0.9)
+
+    @pytest.mark.parametrize("method,built", [("matrix", 1), ("closed_form", 0), ("target", 0)])
+    def test_one_pairing_per_matrix_route_call(self, ellipse_point, pairings_built, method, built):
+        f, g = expr("x^2"), expr("y")
+        for calls in (1, 2):
+            moduli_bracket(f, g, ellipse_point, method)
+            assert pairings_built == [ellipse_point] * (built * calls)
+        bracket_report(f, g, ellipse_point)
+        assert len(pairings_built) == 2 * built + 1
 
     def test_unknown_method_rejected(self, ellipse_point):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bsmoduli import (
-    CompatibleStructure,
     DegenerateLoop,
     ExpressionError,
     ScalarField,
@@ -12,7 +11,6 @@ from bsmoduli import (
     hamiltonian_vector_field,
     poisson_bracket,
     poisson_bracket_field,
-    rotate90,
     tangential_normal_split,
 )
 from bsmoduli import expressions as ex
@@ -208,36 +206,6 @@ class TestPoissonBracket:
         assert poisson_bracket(expr("x"), expr("y"), surface, (0.4, 0.6)) == pytest.approx(0.5)
 
 
-class TestCompatibleStructure:
-    def test_metric_positive_definite(self, plane, rng):
-        cs = CompatibleStructure(plane)
-        for _ in range(20):
-            u = rng.standard_normal(2)
-            if np.linalg.norm(u) < 1e-3:
-                continue
-            x, y = rng.uniform(-2, 2, 2)
-            assert cs.metric(u, u, x, y) > 0
-
-    def test_metric_symmetric(self, plane, rng):
-        cs = CompatibleStructure(plane)
-        u, v = rng.standard_normal(2), rng.standard_normal(2)
-        x, y = 0.3, 0.9
-        assert cs.metric(u, v, x, y) == pytest.approx(cs.metric(v, u, x, y), abs=1e-15)
-
-    def test_rotation_invariance_of_omega(self, plane, rng):
-        cs = CompatibleStructure(plane)
-        for _ in range(20):
-            u, v = rng.standard_normal(2), rng.standard_normal(2)
-            x, y = rng.uniform(-2, 2, 2)
-            assert cs.omega(rotate90(u), rotate90(v), x, y) == pytest.approx(
-                cs.omega(u, v, x, y), abs=1e-12
-            )
-
-    def test_rotation_squares_to_minus_one(self, rng):
-        v = rng.standard_normal(2)
-        assert np.allclose(rotate90(rotate90(v)), -v, atol=1e-15)
-
-
 class TestTangentialSplit:
     def test_projection_identity(self, rng):
         t = rng.standard_normal(2)
@@ -247,7 +215,7 @@ class TestTangentialSplit:
 
     def test_rotated_tangent_is_normal(self, rng):
         t = rng.standard_normal(2) + np.array([2.0, 0.0])
-        v = rotate90(t)
+        v = np.array([-t[1], t[0]])  # J t, the chart rotation by a quarter turn
         hor, vert = tangential_normal_split(v, t)
         assert np.allclose(hor, 0.0, atol=1e-13)
         assert np.allclose(vert, v, atol=1e-13)

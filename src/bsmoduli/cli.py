@@ -240,6 +240,14 @@ def _loop_center(spec):
     return tuple(center)
 
 
+def _orientation(spec):
+    """A circle spec's "orientation": the JSON integer 1 or -1 (1 when absent), not a bool."""
+    value = spec.get("orientation", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
+        raise ConfigError(f'"orientation" must be 1 or -1, got {value!r}')
+    return value
+
+
 def build_field(text):
     if not isinstance(text, str):
         raise ConfigError(f"field spec must be an expression string, got {text!r}")
@@ -330,8 +338,7 @@ def build_loop(spec, n, surface):
     project = _flag(spec.get("project", False), "project")
     try:
         if kind == "circle":
-            loop = Loop.circle(spec["radius"], center=center, n=n,
-                               orientation=spec.get("orientation", 1))
+            loop = Loop.circle(spec["radius"], center=center, n=n, orientation=_orientation(spec))
         elif kind == "ellipse":
             loop = Loop.ellipse(spec["a"], spec["b"], center=center, n=n,
                                 angle=spec.get("angle", 0.0))
@@ -545,17 +552,20 @@ def cmd_bs_scan(config, seed, tolerance):
     _require_object(spec, "loop")
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
     count = _count(sweep["count"], "radii.count")
+    if count < 1:
+        raise ConfigError(f'"radii.count" must be at least 1, got {count}')
     values = np.linspace(float(sweep["start"]), float(sweep["stop"]), count)
     circle = spec.get("type") == "circle"
     if circle:
         center = _loop_center(spec)
+        orientation = _orientation(spec)
     else:
         base = build_loop(spec, n, surface)
         center = base.points.mean(axis=0)
     rows = []
     for r in values:
         if circle:
-            loop = Loop.circle(r, center=center, n=n, orientation=spec.get("orientation", 1))
+            loop = Loop.circle(r, center=center, n=n, orientation=orientation)
         else:
             loop = Loop(center + r * (base.points - center))
         # one action integral for both columns; one that is not finite raises
@@ -670,6 +680,8 @@ def cmd_convergence(config, seed, tolerance):
         "cases",
         ["derivative_bandlimited", "derivative_analytic", "quadrature_analytic", "action_circle"],
     )
+    if not isinstance(cases, list) or not all(isinstance(case, str) for case in cases):
+        raise ConfigError(f'"cases" must be a list of strings, got {cases!r}')
     counts = _sample_counts(config, None) if "sample_counts" in config else [16, 32, 64, 128, 256]
     rows = []
     for case in cases:

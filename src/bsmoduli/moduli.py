@@ -250,7 +250,9 @@ class OmegaMatrix:
     theta0, analysing them with one ``rfft``, reflecting them by H_f as a
     rank-one update and dropping the first column, in O(N^2 log N); the
     basis coordinates go through the same analysis and synthesis.  The one
-    O(N^3) work is ``dense_sharp``'s two LU solves.
+    O(N^3) work is an LU solve of K: ``dense_brackets`` needs only that one,
+    since Omega(H_i, H_j) = ell_i(H_j) = lt_i . xt_j - lt_j . xt_i with
+    xt = -K^{-1} lf; the reference ``dense_sharp`` also solves K^T for xf.
 
     In these bases K is multiplication by theta0, taken from theta0^perp and
     projected onto (theta0^2)^perp.  A compression raises no singular value,
@@ -363,6 +365,30 @@ def dense_sharp(om, covectors):
     xt = -np.linalg.solve(om.k_block, lf.T)
     xf = np.linalg.solve(om.k_block.T, lt.T)
     return [TangentVector(f, t) for f, t in zip(*om.from_coordinates(xf.T, xt.T))]
+
+
+def dense_brackets(om, covectors):
+    """The k x k matrix Omega(H_i, H_j) of the dense duals H_i of k Covectors, by one LU solve.
+
+    The dual obeys Omega(H_i, .) = ell_i, so Omega(H_i, H_j) = ell_i(H_j) =
+    lf_i . xf_j + lt_i . xt_j in basis coordinates; with -K xt = lf and
+    K^T xf = lt the first term is -lt_j . xt_i, so
+
+        Omega(H_i, H_j) = lt_i . xt_j - lt_j . xt_i,    xt = -K^{-1} lf,
+
+    and only K is solved, for all k right-hand sides at once, with no dual
+    lifted to samples.  The result is a - a^T, a = lt xt, so it is exactly
+    antisymmetric.  It agrees with ``omega`` on ``dense_sharp``'s duals to
+    solve roundoff.  An empty list gives a 0 x 0 matrix even on a singular
+    pairing; otherwise raises SingularPairing by ``dense_sharp``'s guard.
+    """
+    if not covectors:
+        return np.zeros((0, 0))
+    _require_pointwise_dual(om.sigma_lower_bound)
+    lf, lt = om.coordinates(np.stack([ell.fweight for ell in covectors]),
+                            np.stack([ell.tweight for ell in covectors]))
+    a = lt @ -np.linalg.solve(om.k_block, lf.T)
+    return a - a.T
 
 
 def _normal_displacement(p, fvec):

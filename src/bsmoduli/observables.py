@@ -33,8 +33,7 @@ from .errors import GeometryError
 from .loops import integrate_density, loop_derivative
 from .moduli import (
     Covector,
-    dense_sharp,
-    omega,
+    dense_brackets,
     omega_matrix,
     project_tangent,
     sharp,
@@ -126,7 +125,9 @@ def moduli_bracket(f, g, p, method="matrix"):
     """Moduli-space bracket of two induced observables, three evaluation routes.
 
     matrix       evaluate the pairing on the two Hamiltonian fields: the
-                 arbiter, Omega(H_{F_f}, H_{F_g}), no adjustment.
+                 arbiter, Omega(H_{F_f}, H_{F_g}), no adjustment; entry
+                 [0, 1] of ``dense_brackets`` on the point's pairing, one
+                 LU solve of its K block.
     closed_form  BRACKET_SIGN * 2 * <[df(X_g^tan) - dg(X_f^tan)] theta0^2>
                  with restricted tangential pairings and the frozen measured
                  sign.
@@ -140,9 +141,8 @@ def moduli_bracket(f, g, p, method="matrix"):
     if method not in BRACKET_METHODS:
         raise ValueError(f"unknown bracket method {method!r}")
     if method == "matrix":
-        om = omega_matrix(p)
-        h_f, h_g = (dense_sharp(om, [differential_covector(h, p)])[0] for h in (f, g))
-        return omega(p, h_f, h_g)
+        covectors = [differential_covector(h, p) for h in (f, g)]
+        return float(dense_brackets(omega_matrix(p), covectors)[0, 1])
     if method == "closed_form":
         integrand = _restricted_bracket(f, g, p.loop, p.surface)
         return BRACKET_SIGN * 2.0 * integrate_density(integrand * p.theta.values**2)
@@ -180,10 +180,10 @@ def bracket_report(f, g, p):
 def bracket_reports(pairs, p):
     """bracket_report of every (f, g) pair at one point.
 
-    The matrix route takes every Hamiltonian field from one ``dense_sharp``
-    call on one pairing matrix, built only when there is a pair, with each
-    distinct field object dualized once; the values agree
-    with bracket_report's, which solves for one field at a time, to solve
+    The matrix route reads every pair's value off one ``dense_brackets``
+    call, one LU solve on one pairing matrix, built only when there is a
+    pair, with each distinct field object dualized once; the values agree
+    with bracket_report's, which solves for one pair at a time, to solve
     roundoff.  As there, a GeometryError of a pair, a value that is not
     finite included, is raised naming the pair's index in ``pairs``.
     """
@@ -191,12 +191,13 @@ def bracket_reports(pairs, p):
         return []
     with np.errstate(all="ignore"):
         distinct = {id(h): h for pair in pairs for h in pair}
+        index = {key: i for i, key in enumerate(distinct)}
         covectors = [differential_covector(h, p) for h in distinct.values()]
-        fields = dict(zip(distinct, dense_sharp(omega_matrix(p), covectors)))
+        brackets = dense_brackets(omega_matrix(p), covectors)
         reports = []
         for j, (f, g) in enumerate(pairs):
             try:
-                reports.append(_report(f, g, p, omega(p, fields[id(f)], fields[id(g)])))
+                reports.append(_report(f, g, p, float(brackets[index[id(f)], index[id(g)]])))
             except GeometryError as exc:
                 raise type(exc)(f"pairs[{j}]: {exc}") from exc
         return reports

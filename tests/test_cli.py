@@ -631,6 +631,40 @@ class TestConfigValues:
                             f'"{key}" must be an integer, got {value!r}')
         assert pairings_built == []
 
+    @pytest.mark.parametrize("command", ["bracket-check", "bs-scan"])
+    @pytest.mark.parametrize("value", ["cw", 0, 0.5, True])
+    def test_a_circle_orientation_is_one_or_minus_one(self, tmp_path, capsys, pairings_built,
+                                                      command, value):
+        config = copy.deepcopy(SMALL[command])
+        spec = {"type": "circle", "radius": 0.5641895835477563, "orientation": value}
+        if command == "bs-scan":
+            config["loop"] = spec
+        else:
+            config["loops"] = [spec]
+        assert_config_error(tmp_path, capsys, command, config,
+                            f'"orientation" must be 1 or -1, got {value!r}')
+        assert pairings_built == []
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_a_circle_loop_keeps_its_orientation(self, orientation):
+        plane = SymplecticSurface.plane()
+        spec = {"type": "circle", "radius": 0.5, "orientation": orientation}
+        loop = cli.build_loop(spec, 64, plane)
+        assert np.array_equal(loop.points, Loop.circle(0.5, n=64, orientation=orientation).points)
+        assert abs(action_integral(loop, plane) - orientation * np.pi / 4) <= 1e-12
+
+    @pytest.mark.parametrize("cases", ["action_circle", ["action_circle", 3], None])
+    def test_convergence_cases_is_a_list_of_strings(self, tmp_path, capsys, cases):
+        config = dict(SMALL["convergence"], cases=cases)
+        assert_config_error(tmp_path, capsys, "convergence", config,
+                            f'"cases" must be a list of strings, got {cases!r}')
+
+    @pytest.mark.parametrize("count", [-3, 0])
+    def test_radii_count_is_at_least_one(self, tmp_path, capsys, count):
+        config = dict(SMALL["bs-scan"], radii={"start": 0.3, "stop": 1.3, "count": count})
+        assert_config_error(tmp_path, capsys, "bs-scan", config,
+                            f'"radii.count" must be at least 1, got {count}')
+
     @pytest.mark.parametrize("command", ["bracket-check", "identity-check", "convergence"])
     def test_sample_counts_is_a_list(self, tmp_path, capsys, command):
         config = dict(SMALL[command], sample_counts=32)
@@ -848,15 +882,16 @@ class TestDeterminism:
         return counts
 
     @pytest.mark.parametrize("pair_count", [1, 5])
-    def test_two_solves_per_instance(self, tmp_path, monkeypatch, pairings_built, pair_count):
-        # the pairing is certified by its closed-form enclosure, with no SVD, and built once
+    def test_one_solve_per_instance(self, tmp_path, monkeypatch, pairings_built, pair_count):
+        # the pairing is certified by its closed-form enclosure, with no SVD, and built
+        # once; every bracket of an instance comes from one LU solve of its K block
         counts = self.count_linalg(monkeypatch)
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 64
         cfg["pairs"] = cfg["pairs"][:pair_count]
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
-        assert counts == {"solve": 2 * instances, "svd": 0}
+        assert counts == {"solve": instances, "svd": 0}
         assert len(pairings_built) == instances
 
     def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch,
@@ -868,7 +903,7 @@ class TestDeterminism:
         cfg.update(n_samples=n, dump_singular_values=True)
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
-        assert counts == {"solve": 2 * instances, "svd": instances}
+        assert counts == {"solve": instances, "svd": instances}
         assert len(pairings_built) == 2 * instances
         rows = read_rows(tmp_path / "omega_singular_values.csv")
         assert len(rows) == instances * 2 * (n - 1)

@@ -32,7 +32,7 @@ from bsmoduli import (
 )
 from bsmoduli import observables
 from bsmoduli.loops import integrate_density, loop_derivative, project_to_bs
-from bsmoduli.moduli import SINGULAR_FLOOR, dense_sharp
+from bsmoduli.moduli import SINGULAR_FLOOR, dense_brackets, dense_sharp
 from bsmoduli.observables import (
     bracket_reports,
     restricted_values,
@@ -240,22 +240,30 @@ SHIPPED_FIELDS = ("x", "y", "x^2", "x^2+y^2", "sin(x)", "x*y", "x^2-y^2")
 
 
 class TestHamiltonianFields:
-    def test_matrix_route_is_one_single_rhs_dual_per_field(self, ellipse_point):
-        # one field per solve keeps bracket_report's bits (and the golden convergence.csv)
+    def test_matrix_route_is_one_dense_brackets_call_per_pair(self, ellipse_point):
+        # one pair per call keeps bracket_report's bits (and the golden convergence.csv)
         p = ellipse_point
-        om = omega_matrix(p)
-
-        def single_rhs_dual(f):
-            ell = differential_covector(f, p)
-            lf, lt = om.coordinates(ell.fweight, ell.tweight)
-            return TangentVector(*om.from_coordinates(
-                np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
-            ))
-
         fields = [expr(text) for text in SHIPPED_FIELDS]
         for f, g in zip(fields, fields[1:] + fields[:1]):
-            want = omega(p, single_rhs_dual(f), single_rhs_dual(g))
+            covectors = [differential_covector(h, p) for h in (f, g)]
+            want = dense_brackets(omega_matrix(p), covectors)[0, 1]
             assert moduli_bracket(f, g, p) == want
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_brackets_match_the_pairing_of_the_dense_duals(self, plane, n):
+        # the one-solve identity against the two-solve reference, omega on dense_sharp's duals
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        fields = [expr(text) for text in SHIPPED_FIELDS]
+        for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1)):
+            p = ModuliPoint(plane, loop, theta)
+            om = omega_matrix(p)
+            covectors = [differential_covector(f, p) for f in fields]
+            duals = dense_sharp(om, covectors)
+            want = np.array([[omega(p, h_i, h_j) for h_j in duals] for h_i in duals])
+            got = dense_brackets(om, covectors)
+            assert got.shape == (len(fields), len(fields))
+            assert np.array_equal(got, -got.T)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_batch_matches_per_field_duals(self, plane, n):
@@ -277,8 +285,10 @@ class TestHamiltonianFields:
         om = omega_matrix(p)
         assert om.sigma_lower_bound < SINGULAR_FLOOR
         assert om.singular_values().min() <= p.n * np.finfo(float).eps * om.sigma_upper_bound
-        with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| "):
-            dense_sharp(om, [differential_covector(expr(text), p) for text in ("x", "y")])
+        covectors = [differential_covector(expr(text), p) for text in ("x", "y")]
+        for dense in (dense_sharp, dense_brackets):
+            with pytest.raises(SingularPairing, match=r"pairing min \|theta0\| "):
+                dense(om, covectors)
 
     def test_no_covectors_have_no_duals_even_on_a_singular_pairing(self, plane):
         p = singular_pairing_point(plane)
@@ -286,6 +296,7 @@ class TestHamiltonianFields:
         assert om.sigma_lower_bound < SINGULAR_FLOOR
         assert om.singular_values().min() <= p.n * np.finfo(float).eps * om.sigma_upper_bound
         assert dense_sharp(om, []) == []
+        assert dense_brackets(om, []).shape == (0, 0)
 
 
 def singular_pairing_point(plane):
@@ -331,7 +342,7 @@ class TestBracketReports:
         # first route that is not finite names itself and its pair
         p = ellipse_point
         big = (expr("1e160*x"), expr("1e160*y"))
-        message = r"the matrix bracket is nan, not finite$"
+        message = r"the matrix bracket is -inf, not finite$"
         with pytest.raises(GeometryError, match=r"^pairs\[1\]: " + message):
             bracket_reports([(expr("x"), expr("y")), big], p)
         with pytest.raises(GeometryError, match="^" + message):

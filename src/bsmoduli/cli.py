@@ -192,6 +192,17 @@ def _tolerance(value, key):
     return value
 
 
+def _finite_number(value, key):
+    """A config number as a float: finite and not a bool."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f'"{key}" must be a finite number, got {value!r}')
+    return float(value)
+
+
 def _resolve_tolerance(override, config, default):
     """The ``--tol`` override, else the config's "tolerance" (``default`` when absent), checked."""
     if override is not None:
@@ -551,10 +562,15 @@ def cmd_bs_scan(config, seed, tolerance):
     spec = config.get("loop", {"type": "circle", "radius": 1.0})
     _require_object(spec, "loop")
     sweep = config.get("radii", {"start": 0.3, "stop": 1.5, "count": 61})
+    _require_object(sweep, "radii")
+    for key in ("start", "stop", "count"):
+        if key not in sweep:
+            raise ConfigError(f'"radii.{key}" is missing')
+    start, stop = (_finite_number(sweep[key], f"radii.{key}") for key in ("start", "stop"))
     count = _count(sweep["count"], "radii.count")
     if count < 1:
         raise ConfigError(f'"radii.count" must be at least 1, got {count}')
-    values = np.linspace(float(sweep["start"]), float(sweep["stop"]), count)
+    values = np.linspace(start, stop, count)
     circle = spec.get("type") == "circle"
     if circle:
         center = _loop_center(spec)

@@ -19,7 +19,9 @@ circle) is fixed by the uniform grid; tests assert that every observable is
 invariant under cyclic index rotation.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,19 +59,11 @@ class TangentVector:
     def n(self):
         return self.fvec.shape[0]
 
-    def __add__(self, other):
-        return TangentVector(self.fvec + other.fvec, self.tvec + other.tvec)
-
     def __sub__(self, other):
         return TangentVector(self.fvec - other.fvec, self.tvec - other.tvec)
 
     def __mul__(self, c):
         return TangentVector(self.fvec * c, self.tvec * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     def norm(self):
         return float(np.sqrt(integrate_density(self.fvec**2 + self.tvec**2)))
@@ -93,11 +87,6 @@ class Covector:
         return integrate_density(self.fweight * v.fvec) + integrate_density(
             self.tweight * v.tvec
         )
-
-    def __mul__(self, c):
-        return Covector(np.asarray(self.fweight) * c, np.asarray(self.tweight) * c)
-
-    __rmul__ = __mul__
 
 
 class ModuliPoint:
@@ -244,51 +233,67 @@ class OmegaMatrix:
 
         Omega = [[0, K], [-K^T, 0]],    K = E^T H_f F^T diag(theta0) F H_t E,
 
-    so the assembled matrix is antisymmetric by construction and its singular
-    values are those of K, each doubled.  No basis is held: K is assembled by
-    synthesizing the rows of (H_t E)^T with one ``irfft``, multiplying them by
-    theta0, analysing them with one ``rfft``, reflecting them by H_f as a
-    rank-one update and dropping the first column, in O(N^2 log N); the
-    basis coordinates go through the same analysis and synthesis.  The one
-    O(N^3) work is an LU solve of K: ``dense_brackets`` needs only that one,
-    since Omega(H_i, H_j) = ell_i(H_j) = lt_i . xt_j - lt_j . xt_i with
-    xt = -K^{-1} lf; the reference ``dense_sharp`` also solves K^T for xf.
+    so its singular values are those of K, each doubled.
 
     In these bases K is multiplication by theta0, taken from theta0^perp and
-    projected onto (theta0^2)^perp.  A compression raises no singular value,
-    and K's inverse is ``sharp``'s formula, t = f/theta0 - (<f>/<theta0^2>)
-    theta0 with |t| <= |f|/min|theta0|, so
+    projected onto (theta0^2)^perp.  The basis maps are isometries onto those
+    complements, so on samples K and K^T are
+
+        apply(t) = P_f (theta0 t),    apply_transpose(f) = P_t (theta0 f),
+
+    with P_f and P_t the projectors onto (theta0^2)^perp and theta0^perp, each
+    a rank-one update: O(N) per vector, no FFT and no N x N array.  A
+    compression raises no singular value, and K's inverse is ``sharp``'s
+    formula, t = f/theta0 - (<f>/<theta0^2>) theta0 with |t| <= |f|/min|theta0|,
+    so
 
         min|theta0| <= sigma_min(K) <= sigma_max(K) <= max|theta0|.
 
-    The two ends are kept as ``sigma_lower_bound`` and ``sigma_upper_bound``;
-    no SVD is taken unless ``singular_values`` is called.
+    The two ends are kept as ``sigma_lower_bound`` and ``sigma_upper_bound``.
+    They fix the step count and the error bar of ``dense_brackets``' Krylov
+    solve before it starts.  The N x N array ``k_block`` is assembled only on
+    demand, for the LU fallback and for ``singular_values``: synthesize the
+    rows of (H_t E)^T with one ``irfft``, multiply them by theta0, analyse
+    them with one ``rfft``, reflect them by H_f as a rank-one update and drop
+    the first column, in O(N^2 log N).  ``coordinates`` goes through the same
+    analysis.
     """
 
     def __init__(self, p):
-        n = p.n
         th = p.theta.values
-        self._f_reflector = _complement_reflector(th**2)
-        self._t_reflector = _complement_reflector(th)
-        v, beta = self._t_reflector
-        rows = np.multiply.outer(-beta * v[1:], v)
-        rows[:, 1:][np.diag_indices(n - 1)] += 1.0
-        t_rows = _fourier_synthesis(rows)
-        t_rows *= th
-        self.k_block = _reflect(_fourier_analysis(t_rows), self._f_reflector)[:, 1:].T
+        self.n = p.n
+        self._theta0 = th
+        self._f_unit = th**2 / np.linalg.norm(th**2)
+        self._t_unit = th / np.linalg.norm(th)
         magnitude = np.abs(th)
         self.sigma_lower_bound = float(magnitude.min())
         self.sigma_upper_bound = float(magnitude.max())
-        self.n = n
 
-    @property
-    def matrix(self):
-        """The assembled (2N-2) x (2N-2) antisymmetric matrix."""
-        m = self.k_block.shape[0]
-        out = np.zeros((2 * m, 2 * m))
-        out[:m, m:] = self.k_block
-        out[m:, :m] = -self.k_block.T
-        return out
+    def apply(self, t):
+        """K on samples along the last axis: P_f (theta0 t), which annihilates theta0's multiples.
+
+        For t in theta0^perp, ``coordinates`` of the result are K times those
+        of t.
+        """
+        return _deflate(t * self._theta0, self._f_unit)
+
+    def apply_transpose(self, f):
+        """K^T on samples along the last axis: P_t (theta0 f), for f in (theta0^2)^perp."""
+        return _deflate(f * self._theta0, self._t_unit)
+
+    @cached_property
+    def _reflectors(self):
+        return _complement_reflector(self._theta0**2), _complement_reflector(self._theta0)
+
+    @cached_property
+    def k_block(self):
+        """K as an (N-1) x (N-1) array, assembled by FFT on first use."""
+        f_reflector, (v, beta) = self._reflectors
+        rows = np.multiply.outer(-beta * v[1:], v)
+        rows[:, 1:][np.diag_indices(self.n - 1)] += 1.0
+        t_rows = _fourier_synthesis(rows)
+        t_rows *= self._theta0
+        return _reflect(_fourier_analysis(t_rows), f_reflector)[:, 1:].T
 
     def singular_values(self):
         """Singular values of the assembled matrix, those of K each twice, by an SVD on each call.
@@ -307,15 +312,14 @@ class OmegaMatrix:
         """
         return tuple(
             _reflect(_fourier_analysis(x), reflector)[..., 1:] / np.sqrt(self.n)
-            for x, reflector in ((fvec, self._f_reflector), (tvec, self._t_reflector))
+            for x, reflector in zip((fvec, tvec), self._reflectors)
         )
 
-    def from_coordinates(self, xf, xt):
-        """Samples (fvec, tvec) of the basis combinations with coefficients xf, xt (last axis)."""
-        return tuple(
-            _fourier_synthesis(_reflect(np.insert(x, 0, 0.0, axis=-1), reflector)) * np.sqrt(self.n)
-            for x, reflector in ((xf, self._f_reflector), (xt, self._t_reflector))
-        )
+
+def _deflate(x, unit):
+    """x minus its component along a unit vector, along the last axis, in place."""
+    x -= (x @ unit)[..., None] * unit
+    return x
 
 
 def omega_matrix(p):
@@ -339,36 +343,122 @@ def sharp(p, ell):
     Since flat(v) = (-t1 theta0, f1 theta0) and covector weights matter only
     up to multiples of theta0^2 (function part) and theta0 (density part), v
     is the constrained projection of (tweight/theta0, -fweight/theta0).  The
-    dense solve of the same system is ``dense_sharp``, the independent
-    oracle.  Raises SingularPairing when theta0 comes within SINGULAR_FLOOR
-    of zero on the grid.
+    dense routes of ``dense_brackets`` solve the same system and are its
+    independent oracle.  Raises SingularPairing when theta0 comes within
+    SINGULAR_FLOOR of zero on the grid.
     """
     th = p.theta.values
     _require_pointwise_dual(th)
     return project_tangent(ell.tweight / th, -ell.fweight / th, p)
 
 
-def dense_sharp(om, covectors):
-    """The duals of a list of Covectors by the dense pairing system, one multi-RHS solve per block.
+# The Krylov solve's target relative residual, which sets its predicted step
+# count, and the certified bound it must reach, relative to the bracket scale
+# max |Omega_ij|, before its values are returned.
+KRYLOV_RESIDUAL = 1e-16
+KRYLOV_CERTIFIED = 1e-14
 
-    An empty list has no duals, so it returns [] even on a singular pairing;
-    otherwise raises SingularPairing by ``sharp``'s guard, fed the pairing's
-    certified floor ``om.sigma_lower_bound`` = min|theta0|.  Above that guard
-    K's condition number is at most max|theta0| / min|theta0|.
+# Costs in seconds, least-squares fits (relative error within 40% for a step,
+# 20% for the LU) to best-of-7 timings of both routes over N = 16 ... 4096 and
+# k = 2, 7, 14 right-hand sides, one BLAS thread, numpy 2.4, a 2-vCPU x86-64
+# VM: a Krylov step, base + per_sample * k * N (one ``apply`` and one
+# ``apply_transpose`` of k rows, and the vector updates), and the LU route,
+# cubic * N^3 + quadratic * N^2 + constant (K assembled by FFT, one LU solve of
+# it and its residual).
+KRYLOV_STEP_S = (2.2e-5, 6.0e-9)
+LU_S = (1.3e-11, 3.0e-8, 2.3e-4)
+
+
+def _krylov_steps(om):
+    """CGLS steps that bring every relative residual below KRYLOV_RESIDUAL, from the enclosure.
+
+    With kappa = sigma_upper_bound / sigma_lower_bound >= cond(K), CG on the
+    normal equations shrinks the residual by 2 ((kappa - 1)/(kappa + 1))^m in
+    m steps, so m = ln(2/eps) / ln((kappa + 1)/(kappa - 1)), and 1 step for
+    kappa = 1 (K orthogonal).
     """
-    if not covectors:
-        return []
-    _require_pointwise_dual(om.sigma_lower_bound)
-    lf, lt = om.coordinates(np.stack([ell.fweight for ell in covectors]),
-                            np.stack([ell.tweight for ell in covectors]))
-    # Omega^T x = ell in blocks: -K xt = lf, K^T xf = lt.
+    kappa = om.sigma_upper_bound / om.sigma_lower_bound
+    if kappa == 1.0:
+        return 1
+    rate = math.log((kappa + 1.0) / (kappa - 1.0))
+    return max(1, math.ceil(math.log(2.0 / KRYLOV_RESIDUAL) / rate))
+
+
+def _prefers_krylov(n, k, steps):
+    """Whether ``steps`` Krylov steps and the residual on k right-hand sides cost less than the LU."""
+    base, per_sample = KRYLOV_STEP_S
+    krylov = (steps + 1) * (base + per_sample * k * n)
+    cubic, quadratic, constant = LU_S
+    return krylov < cubic * n**3 + quadratic * n**2 + constant
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _cgls(om, b, steps):
+    """``steps`` steps of CGLS (Hestenes & Stiefel 1952) on K y = b.
+
+    Each row of b is one right-hand side.  The rows lie in (theta0^2)^perp,
+    so every residual does and every iterate lies in theta0^perp.  A row
+    that converges exactly divides 0 by 0; the ``_TINY`` in each denominator
+    makes that step 0 instead.
+    """
+    y = np.zeros_like(b)
+    r = b.copy()
+    s = om.apply_transpose(r)
+    p = s.copy()
+    gamma = np.einsum("...i,...i->...", s, s)
+    for _ in range(steps):
+        q = om.apply(p)
+        alpha = (gamma / (np.einsum("...i,...i->...", q, q) + _TINY))[..., None]
+        y += alpha * p
+        r -= alpha * q
+        s = om.apply_transpose(r)
+        gamma, previous = np.einsum("...i,...i->...", s, s), gamma
+        p *= (gamma / (previous + _TINY))[..., None]
+        p += s
+    return y
+
+
+def _antisymmetric_with_bound(lt, x, residual, floor):
+    """(a - a^T, bound) for a = lt x^T: the brackets and their certified error.
+
+    |x_j - x*_j| <= |r_j| / sigma_min(K) <= |r_j| / floor, so
+    |Omega_ij - Omega*_ij| <= (|lt_i| |r_j| + |lt_j| |r_i|) / floor, up to
+    the roundoff of the residual and of the products.  The diagonal is 0
+    exactly, and so is its bound.
+    """
+    a = lt @ x.T
+    c = np.multiply.outer(np.linalg.norm(lt, axis=-1), np.linalg.norm(residual, axis=-1))
+    bound = (c + c.T) / floor
+    np.fill_diagonal(bound, 0.0)
+    return a - a.T, bound
+
+
+def _krylov_brackets(om, fweights, tweights, steps):
+    """Omega(H_i, H_j) and its certified bound by ``steps`` CGLS steps, all on samples.
+
+    In samples the system -K xt = lf is P_f (theta0 y) = -P_f fweight for y
+    in theta0^perp, and Omega(H_i, H_j) = <P_t tweight_i y_j> - (i <-> j),
+    with <.> the mean; the residual is recomputed as -P_f fweight - K y after
+    the last step.
+    """
+    b = -_deflate(np.array(fweights, dtype=float), om._f_unit)
+    lt = _deflate(np.array(tweights, dtype=float), om._t_unit) / om.n
+    y = _cgls(om, b, steps)
+    return _antisymmetric_with_bound(lt, y, b - om.apply(y), om.sigma_lower_bound)
+
+
+def _lu_brackets(om, fweights, tweights):
+    """Omega(H_i, H_j) and its certified bound by one LU solve of ``k_block``, in coordinates."""
+    lf, lt = om.coordinates(fweights, tweights)
     xt = -np.linalg.solve(om.k_block, lf.T)
-    xf = np.linalg.solve(om.k_block.T, lt.T)
-    return [TangentVector(f, t) for f, t in zip(*om.from_coordinates(xf.T, xt.T))]
+    residual = -lf - (om.k_block @ xt).T
+    return _antisymmetric_with_bound(lt, xt.T, residual, om.sigma_lower_bound)
 
 
 def dense_brackets(om, covectors):
-    """The k x k matrix Omega(H_i, H_j) of the dense duals H_i of k Covectors, by one LU solve.
+    """Omega(H_i, H_j) of the dense duals H_i of k Covectors, with a certified bound on each entry.
 
     The dual obeys Omega(H_i, .) = ell_i, so Omega(H_i, H_j) = ell_i(H_j) =
     lf_i . xf_j + lt_i . xt_j in basis coordinates; with -K xt = lf and
@@ -377,18 +467,43 @@ def dense_brackets(om, covectors):
         Omega(H_i, H_j) = lt_i . xt_j - lt_j . xt_i,    xt = -K^{-1} lf,
 
     and only K is solved, for all k right-hand sides at once, with no dual
-    lifted to samples.  The result is a - a^T, a = lt xt, so it is exactly
-    antisymmetric.  It agrees with ``omega`` on ``dense_sharp``'s duals to
-    solve roundoff.  An empty list gives a 0 x 0 matrix even on a singular
-    pairing; otherwise raises SingularPairing by ``dense_sharp``'s guard.
+    lifted to samples.  Returns (brackets, bounds), two k x k arrays: the
+    brackets a - a^T, a = lt xt, exactly antisymmetric, and for each entry
+    the bound (|lt_i| |r_j| + |lt_j| |r_i|) / min|theta0| on its distance to
+    the exact value, from the true residual r = -lf - K xt (item 13's
+    enclosure gives sigma_min(K) >= min|theta0|).  Two routes solve K:
+
+    - Krylov: ``_krylov_steps(om)`` steps of CGLS with ``apply`` and
+      ``apply_transpose``, O(k N) each.  It only multiplies by theta0, never
+      divides, so it stays independent of ``sharp``.  Its values are returned
+      only when every bound is at most KRYLOV_CERTIFIED times the largest
+      |bracket|; otherwise the LU below runs and its values are returned.
+    - LU: one ``np.linalg.solve`` of ``k_block``, O(N^3), after assembling it.
+
+    The rule takes the Krylov route when (steps + 1) times the measured cost
+    of a step, KRYLOV_STEP_S = (base, per sample and right-hand side), is
+    below the measured LU cost LU_S = (N^3, N^2, constant coefficients) at
+    that N.  It reads only N, k and the enclosure, so the same input always
+    takes the same route.  Uniform theta0 takes 1 step, and Krylov at every
+    N; cosine(a, h) weights, kappa = (1 + a)/(1 - a), take
+    ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1 (Krylov from N = 128), 32
+    at a = 0.3 and 55 at a = 0.5 (from N = 256), 169 at a = 0.8 (from
+    N = 512).  At N = 512 the 7 fields of bracket-check cost about 1.4 ms by
+    Krylov at a = 0.3 against 10 ms by the LU.  An empty list gives two
+    0 x 0 arrays even on a singular pairing; otherwise raises
+    SingularPairing when min|theta0| is below SINGULAR_FLOOR.
     """
     if not covectors:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), np.zeros((0, 0))
     _require_pointwise_dual(om.sigma_lower_bound)
-    lf, lt = om.coordinates(np.stack([ell.fweight for ell in covectors]),
-                            np.stack([ell.tweight for ell in covectors]))
-    a = lt @ -np.linalg.solve(om.k_block, lf.T)
-    return a - a.T
+    fweights = np.stack([ell.fweight for ell in covectors])
+    tweights = np.stack([ell.tweight for ell in covectors])
+    steps = _krylov_steps(om)
+    if _prefers_krylov(om.n, len(covectors), steps):
+        brackets, bounds = _krylov_brackets(om, fweights, tweights, steps)
+        if np.all(bounds <= KRYLOV_CERTIFIED * np.max(np.abs(brackets))):
+            return brackets, bounds
+    return _lu_brackets(om, fweights, tweights)
 
 
 def _normal_displacement(p, fvec):

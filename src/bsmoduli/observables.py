@@ -126,8 +126,8 @@ def moduli_bracket(f, g, p, method="matrix"):
 
     matrix       evaluate the pairing on the two Hamiltonian fields: the
                  arbiter, Omega(H_{F_f}, H_{F_g}), no adjustment; entry
-                 [0, 1] of ``dense_brackets`` on the point's pairing, one
-                 LU solve of its K block.
+                 [0, 1] of ``dense_brackets`` on the point's pairing, a
+                 certified Krylov or LU solve of its K block.
     closed_form  BRACKET_SIGN * 2 * <[df(X_g^tan) - dg(X_f^tan)] theta0^2>
                  with restricted tangential pairings and the frozen measured
                  sign.
@@ -141,8 +141,7 @@ def moduli_bracket(f, g, p, method="matrix"):
     if method not in BRACKET_METHODS:
         raise ValueError(f"unknown bracket method {method!r}")
     if method == "matrix":
-        covectors = [differential_covector(h, p) for h in (f, g)]
-        return float(dense_brackets(omega_matrix(p), covectors)[0, 1])
+        return _matrix_bracket(f, g, p)[0]
     if method == "closed_form":
         integrand = _restricted_bracket(f, g, p.loop, p.surface)
         return BRACKET_SIGN * 2.0 * integrate_density(integrand * p.theta.values**2)
@@ -150,8 +149,18 @@ def moduli_bracket(f, g, p, method="matrix"):
     return BRACKET_SIGN * 2.0 * evaluate_F(bracket_field, p)
 
 
-def _report(f, g, p, matrix_value):
-    """The three route values and their relative spread; GeometryError for a value not finite."""
+def _matrix_bracket(f, g, p):
+    """The matrix-route value of one pair and its certified bound."""
+    covectors = [differential_covector(h, p) for h in (f, g)]
+    brackets, bounds = dense_brackets(omega_matrix(p), covectors)
+    return float(brackets[0, 1]), float(bounds[0, 1])
+
+
+def _report(f, g, p, matrix_value, matrix_bound):
+    """The three route values, their relative spread and the matrix value's certified bound.
+
+    GeometryError for a value that is not finite.
+    """
     values = {
         "matrix": matrix_value,
         "closed_form": moduli_bracket(f, g, p, "closed_form"),
@@ -164,28 +173,32 @@ def _report(f, g, p, matrix_value):
     scale = np.max(np.abs(vals))
     spread = float(np.max(vals) - np.min(vals))
     values["rel_spread"] = spread / scale if scale > 1e-9 else spread
+    values["matrix_bound"] = matrix_bound
     return values
 
 
 def bracket_report(f, g, p):
-    """All three bracket values plus their relative spread.
+    """All three bracket values, their relative spread and the matrix value's certified bound.
 
-    The routes run under ``np.errstate(all="ignore")``; a route value that
-    is not finite raises GeometryError naming the route, not a raw warning.
+    The bound, key ``matrix_bound``, is ``dense_brackets``' bound on the
+    matrix value's distance to the exact solve.  The routes run under
+    ``np.errstate(all="ignore")``; a route value that is not finite raises
+    GeometryError naming the route, not a raw warning.
     """
     with np.errstate(all="ignore"):
-        return _report(f, g, p, moduli_bracket(f, g, p, "matrix"))
+        return _report(f, g, p, *_matrix_bracket(f, g, p))
 
 
 def bracket_reports(pairs, p):
     """bracket_report of every (f, g) pair at one point.
 
-    The matrix route reads every pair's value off one ``dense_brackets``
-    call, one LU solve on one pairing matrix, built only when there is a
-    pair, with each distinct field object dualized once; the values agree
-    with bracket_report's, which solves for one pair at a time, to solve
-    roundoff.  As there, a GeometryError of a pair, a value that is not
-    finite included, is raised naming the pair's index in ``pairs``.
+    The matrix route reads every pair's value and its certified bound
+    (``matrix_bound``) off one ``dense_brackets`` call, one solve on one
+    pairing, built only when there is a pair, with each distinct field
+    object dualized once; the values agree with bracket_report's, which
+    solves for one pair at a time, within their bounds.  As there, a
+    GeometryError of a pair, a value that is not finite included, is raised
+    naming the pair's index in ``pairs``.
     """
     if not pairs:
         return []
@@ -193,11 +206,12 @@ def bracket_reports(pairs, p):
         distinct = {id(h): h for pair in pairs for h in pair}
         index = {key: i for i, key in enumerate(distinct)}
         covectors = [differential_covector(h, p) for h in distinct.values()]
-        brackets = dense_brackets(omega_matrix(p), covectors)
+        brackets, bounds = dense_brackets(omega_matrix(p), covectors)
         reports = []
         for j, (f, g) in enumerate(pairs):
+            ij = index[id(f)], index[id(g)]
             try:
-                reports.append(_report(f, g, p, float(brackets[index[id(f)], index[id(g)]])))
+                reports.append(_report(f, g, p, float(brackets[ij]), float(bounds[ij])))
             except GeometryError as exc:
                 raise type(exc)(f"pairs[{j}]: {exc}") from exc
         return reports

@@ -52,6 +52,45 @@ def pairings_built(monkeypatch):
     return built
 
 
+def assembled_matrix(om):
+    """The (2N-2) x (2N-2) antisymmetric pairing matrix [[0, K], [-K^T, 0]] of an OmegaMatrix."""
+    m = om.k_block.shape[0]
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, m:] = om.k_block
+    out[m:, :m] = -om.k_block.T
+    return out
+
+
+def from_coordinates(om, xf, xt):
+    """Samples (fvec, tvec) of the basis combinations with coefficients xf, xt (last axis).
+
+    The inverse of ``om.coordinates`` on constrained tangent vectors.
+    """
+    return tuple(
+        moduli._fourier_synthesis(moduli._reflect(np.insert(x, 0, 0.0, axis=-1), reflector))
+        * np.sqrt(om.n)
+        for x, reflector in zip((xf, xt), om._reflectors)
+    )
+
+
+def dense_sharp(om, covectors):
+    """The duals of a list of Covectors by the dense pairing system: the two-solve reference.
+
+    Omega^T x = ell in blocks is -K xt = lf and K^T xf = lt, one multi-RHS
+    LU solve of ``om.k_block`` each.  An empty list has no duals, so it
+    returns [] even on a singular pairing; otherwise it raises
+    SingularPairing by the package's guard on min|theta0|.
+    """
+    if not covectors:
+        return []
+    moduli._require_pointwise_dual(om.sigma_lower_bound)
+    lf, lt = om.coordinates(np.stack([ell.fweight for ell in covectors]),
+                            np.stack([ell.tweight for ell in covectors]))
+    xt = -np.linalg.solve(om.k_block, lf.T)
+    xf = np.linalg.solve(om.k_block.T, lt.T)
+    return [moduli.TangentVector(f, t) for f, t in zip(*from_coordinates(om, xf.T, xt.T))]
+
+
 def observed_orders(errors):
     """log2 ratios of consecutive errors from a step-halving experiment."""
     errors = np.asarray(errors, dtype=float)

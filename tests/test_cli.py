@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsmoduli import Loop, ModuliPoint, SymplecticSurface, action_integral, cli, loops, omega_matrix
+from bsmoduli import (
+    Loop, ModuliPoint, SymplecticSurface, action_integral, cli, loops, moduli, omega_matrix,
+)
 from bsmoduli.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -665,6 +667,26 @@ class TestConfigValues:
         assert_config_error(tmp_path, capsys, "bs-scan", config,
                             f'"radii.count" must be at least 1, got {count}')
 
+    @pytest.mark.parametrize("radii,message", [
+        (5, "radii spec must be a JSON object, got 5"),
+        ([0.3, 1.3, 3], "radii spec must be a JSON object, got [0.3, 1.3, 3]"),
+        ({"stop": 1.3, "count": 3}, '"radii.start" is missing'),
+        ({"start": 0.3, "count": 3}, '"radii.stop" is missing'),
+        ({"start": 0.3, "stop": 1.3}, '"radii.count" is missing'),
+        ({"start": "a", "stop": 1.3, "count": 3}, "\"radii.start\" must be a finite number, got 'a'"),
+        ({"start": 0.3, "stop": None, "count": 3}, '"radii.stop" must be a finite number, got None'),
+        ({"start": 0.3, "stop": True, "count": 3}, '"radii.stop" must be a finite number, got True'),
+        ({"start": 0.3, "stop": 1e400, "count": 3}, '"radii.stop" must be a finite number, got inf'),
+    ])
+    def test_radii_is_read_before_any_numerics(self, tmp_path, capsys, monkeypatch, radii,
+                                                message):
+        def no_numerics(*args):
+            raise AssertionError("an action integral ran")
+
+        monkeypatch.setattr(cli, "_level_offset", no_numerics)
+        config = dict(SMALL["bs-scan"], radii=radii)
+        assert_config_error(tmp_path, capsys, "bs-scan", config, message)
+
     @pytest.mark.parametrize("command", ["bracket-check", "identity-check", "convergence"])
     def test_sample_counts_is_a_list(self, tmp_path, capsys, command):
         config = dict(SMALL[command], sample_counts=32)
@@ -868,8 +890,8 @@ class TestDeterminism:
 
     @staticmethod
     def count_linalg(monkeypatch):
-        """Count np.linalg.solve and np.linalg.svd calls from here on."""
-        counts = {"solve": 0, "svd": 0}
+        """Count np.linalg.solve, np.linalg.svd and Krylov pairing solves from here on."""
+        counts = {"solve": 0, "svd": 0, "krylov": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -879,20 +901,24 @@ class TestDeterminism:
 
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(moduli, "_krylov_brackets", counted("krylov", moduli._krylov_brackets))
         return counts
 
     @pytest.mark.parametrize("pair_count", [1, 5])
     def test_one_solve_per_instance(self, tmp_path, monkeypatch, pairings_built, pair_count):
         # the pairing is certified by its closed-form enclosure, with no SVD, and built
-        # once; every bracket of an instance comes from one LU solve of its K block
+        # once; every bracket of an instance comes from one solve of its K block: at
+        # N = 64 the rule takes a certified Krylov solve for uniform theta0 (1 step)
+        # and the LU for cosine(0.3, 1) (32 steps cost more than the LU there)
         counts = self.count_linalg(monkeypatch)
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 64
         cfg["pairs"] = cfg["pairs"][:pair_count]
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
-        instances = len(cfg["loops"]) * len(cfg["densities"])
-        assert counts == {"solve": instances, "svd": 0}
-        assert len(pairings_built) == instances
+        loops = len(cfg["loops"])
+        assert cfg["densities"][0]["type"] == "uniform" and len(cfg["densities"]) == 2
+        assert counts == {"solve": loops, "svd": 0, "krylov": loops}
+        assert len(pairings_built) == 2 * loops
 
     def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch,
                                                                pairings_built):
@@ -903,7 +929,7 @@ class TestDeterminism:
         cfg.update(n_samples=n, dump_singular_values=True)
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
-        assert counts == {"solve": instances, "svd": instances}
+        assert counts == {"solve": instances // 2, "svd": instances, "krylov": instances // 2}
         assert len(pairings_built) == 2 * instances
         rows = read_rows(tmp_path / "omega_singular_values.csv")
         assert len(rows) == instances * 2 * (n - 1)

@@ -200,6 +200,19 @@ class TestActionIntegral:
         loop = Loop.circle(1.0, n=256, orientation=-1)
         assert action_integral(loop, plane) == pytest.approx(-np.pi, abs=1e-12)
 
+    def test_perturbed_circle_is_counterclockwise_from_angle_zero(self, plane):
+        # r(t) = 1 + 0.12 cos 2t + 0.08 sin 3t about the center, so the signed area is
+        # pi (1 + (0.12^2 + 0.08^2) / 2) > 0
+        center = np.array([-0.4, 0.25])
+        loop = Loop.perturbed_circle(1.0, center=tuple(center), n=128,
+                                     harmonics=[(2, 0.12, 0.0), (3, 0.0, 0.08)])
+        t = 2 * np.pi * np.arange(128) / 128
+        r = 1.0 + 0.12 * np.cos(2 * t) + 0.08 * np.sin(3 * t)
+        want = center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+        assert np.max(np.abs(loop.points - want)) < 1e-15
+        area = np.pi * (1 + (0.12**2 + 0.08**2) / 2)
+        assert action_integral(loop, plane) == pytest.approx(area, abs=1e-12)
+
     def test_ellipse_against_shoelace_oracle(self, plane):
         loop = Loop.ellipse(2.0, 0.5, n=256)
         dense = Loop.ellipse(2.0, 0.5, n=2**17)
@@ -332,6 +345,16 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(loop, 15)
 
+    def test_downsample_keeps_the_top_modes(self):
+        # 64 -> 16 samples keeps every mode below the new Nyquist mode 8, the top one (7)
+        # included
+        def u(n):
+            s = np.arange(n) / n
+            return (0.3 + np.cos(14 * np.pi * s) - 0.4 * np.sin(14 * np.pi * s)
+                    + 0.5 * np.sin(12 * np.pi * s))
+
+        np.testing.assert_allclose(trig_resample(u(64), 16), u(16), rtol=0, atol=1e-13)
+
 
 class TestHalfDensity:
     def test_volume_and_normalization(self, rng):
@@ -360,7 +383,31 @@ def wound_lift():
     return Loop(np.stack([2.0 * s, 0.5 + 0.1 * np.sin(2 * np.pi * s)], axis=1))
 
 
+def wound_in_y(n, y0=1.0):
+    """An n-sample lift that winds once around the y period of the 1.5 x 2.5 torus."""
+    s = np.arange(n) / n
+    return Loop(np.stack([0.7 + 0.1 * np.sin(2 * np.pi * s),
+                          y0 + 2.5 * s + 0.05 * np.cos(2 * np.pi * s)], axis=1))
+
+
 class TestTorus:
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_winding_in_y_with_a_period_other_than_one(self, wrapped):
+        # Ly = 2.5, so a wrap that multiplies by Ly where it divides miscounts
+        torus = SymplecticSurface.torus(1.5, 2.5)
+        points = wound_in_y(64).points
+        if wrapped:
+            points = np.mod(points, [1.5, 2.5])
+        assert winding_numbers(Loop(points), torus) == (0, 1)
+        assert winding_numbers(Loop(points[::-1]), torus) == (0, -1)
+
+    def test_resample_loop_wound_in_y(self):
+        # the linear part of the lift is wind[1] * Ly * s in y
+        torus = SymplecticSurface.torus(1.5, 2.5)
+        fine = resample(wound_in_y(64), 128, surface=torus)
+        assert winding_numbers(fine, torus) == (0, 1)
+        assert np.max(np.abs(fine.points - wound_in_y(128).points)) < 1e-12
+
     def test_contractible_action_matches_area(self):
         torus = SymplecticSurface.torus(2.0, 1.0)
         loop = Loop.circle(0.3, center=(1.0, 0.5), n=128)

@@ -29,10 +29,13 @@ from bsmoduli import (
     sharp,
 )
 from bsmoduli.loops import _defect_and_projection
-from bsmoduli.moduli import _normal_displacement, _retract, dense_sharp
+from bsmoduli.moduli import _normal_displacement, _retract, dense_brackets
 from bsmoduli.observables import bracket_reports
 from conftest import (
+    assembled_matrix,
+    dense_sharp,
     expr,
+    from_coordinates,
     kernel_point,
     observed_orders,
     random_tangent,
@@ -154,7 +157,7 @@ class TestOmega:
 class TestOmegaMatrix:
     def test_antisymmetric_and_block_structure(self, ellipse_point):
         om = omega_matrix(ellipse_point)
-        mat = om.matrix
+        mat = assembled_matrix(om)
         m = ellipse_point.n - 1
         assert np.max(np.abs(mat + mat.T)) < 1e-13
         assert np.max(np.abs(mat[:m, :m])) == 0.0
@@ -183,13 +186,13 @@ class TestOmegaMatrix:
             v2 = random_tangent(p, rng)
             x1 = np.concatenate(om.coordinates(v1.fvec, v1.tvec))
             x2 = np.concatenate(om.coordinates(v2.fvec, v2.tvec))
-            assert x1 @ om.matrix @ x2 == pytest.approx(omega(p, v1, v2), abs=1e-12)
+            assert x1 @ assembled_matrix(om) @ x2 == pytest.approx(omega(p, v1, v2), abs=1e-12)
 
     def test_basis_reproduces_vectors(self, ellipse_point, rng):
         p = ellipse_point
         om = omega_matrix(p)
         v = random_tangent(p, rng)
-        fvec, tvec = om.from_coordinates(*om.coordinates(v.fvec, v.tvec))
+        fvec, tvec = from_coordinates(om, *om.coordinates(v.fvec, v.tvec))
         assert np.max(np.abs(fvec - v.fvec)) < 1e-12
         assert np.max(np.abs(tvec - v.tvec)) < 1e-12
 
@@ -318,9 +321,105 @@ class TestDenseReference:
         om = omega_matrix(p)
         th = p.theta.values
         eye = np.eye(p.n - 1)
-        for basis, direction in zip(om.from_coordinates(eye, eye), (th**2, th)):
+        for basis, direction in zip(from_coordinates(om, eye, eye), (th**2, th)):
             np.testing.assert_allclose(basis @ basis.T / p.n, eye, rtol=0, atol=1e-13)
             assert np.max(np.abs(basis @ direction / p.n)) < 1e-14
+
+
+SHIPPED_FIELDS = ("x", "y", "x^2", "x^2+y^2", "sin(x)", "x*y", "x^2-y^2")
+
+
+def weights(p, names=SHIPPED_FIELDS):
+    covectors = [differential_covector(expr(name), p) for name in names]
+    return covectors, np.stack([ell.fweight for ell in covectors]), np.stack([ell.tweight for ell in covectors])
+
+
+class TestKrylovPairing:
+    def test_apply_is_k_block_in_coordinates(self, ellipse_point, rng):
+        # on theta0^perp and (theta0^2)^perp, the sample operators are K and K^T
+        p = ellipse_point
+        om = omega_matrix(p)
+        t = rng.standard_normal((3, p.n))
+        t -= np.multiply.outer(t @ p.theta.values, p.theta.values) / (p.theta.values @ p.theta.values)
+        kt, xt = om.coordinates(om.apply(t), t)
+        np.testing.assert_allclose(kt, xt @ om.k_block.T, rtol=0, atol=1e-13)
+        f = om.apply(rng.standard_normal((3, p.n)))
+        xf, ktf = om.coordinates(f, om.apply_transpose(f))
+        np.testing.assert_allclose(ktf, xf @ om.k_block, rtol=0, atol=1e-13)
+        assert np.max(np.abs(om.apply(p.theta.values))) < 1e-14
+
+    @pytest.mark.parametrize("amplitude,steps", [(0.0, 1), (0.1, 17), (0.3, 32), (0.46, 49), (0.5, 55)])
+    def test_steps_follow_the_enclosure(self, plane, amplitude, steps):
+        # kappa = (1 + a)/(1 - a) for cosine(a, h), so (kappa + 1)/(kappa - 1) = 1/a
+        n = 64
+        theta = HalfDensity.uniform(n) if amplitude == 0 else HalfDensity.cosine_profile(n, amplitude, 2)
+        om = omega_matrix(ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta))
+        assert moduli._krylov_steps(om) == steps
+
+    def test_rule(self):
+        # the goldens and the benchmark rest on these: k = 2 at cosine(0.3) (32 steps)
+        # takes the LU up to N = 128 and Krylov from N = 256; uniform theta0 (1 step)
+        # always takes Krylov; certify's 7 fields at N = 512 take Krylov up to a = 0.5
+        assert [moduli._prefers_krylov(n, 2, 32) for n in (16, 32, 64, 128, 256)] == [
+            False, False, False, False, True]
+        assert all(moduli._prefers_krylov(n, 7, 1) for n in (16, 64, 512, 4096))
+        assert moduli._prefers_krylov(512, 7, 55)
+        assert not moduli._prefers_krylov(512, 7, 2000)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_dense_brackets_takes_the_rule_and_builds_no_k_block_on_krylov(self, plane, n):
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1)):
+            p = ModuliPoint(plane, loop, theta)
+            covectors, fw, tw = weights(p)
+            om = omega_matrix(p)
+            got = dense_brackets(om, covectors)
+            krylov = moduli._prefers_krylov(n, len(covectors), moduli._krylov_steps(om))
+            assert krylov == (n == 512 or theta.values.min() == theta.values.max())
+            assert ("k_block" in vars(om)) == (not krylov)
+            want = (moduli._krylov_brackets(omega_matrix(p), fw, tw, moduli._krylov_steps(om))
+                    if krylov else moduli._lu_brackets(omega_matrix(p), fw, tw))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            brackets, bound = got
+            assert np.array_equal(brackets, -brackets.T)
+            assert np.all(np.diag(bound) == 0.0)
+            assert np.max(bound) <= moduli.KRYLOV_CERTIFIED * np.max(np.abs(brackets))
+
+    def test_a_solve_that_is_not_certified_falls_back_to_the_lu(self, plane, monkeypatch):
+        n = 512
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        p = ModuliPoint(plane, loop, HalfDensity.cosine_profile(n, 0.3, 1))
+        covectors, fw, tw = weights(p)
+        stopped, bound = moduli._krylov_brackets(omega_matrix(p), fw, tw, 8)
+        assert np.max(bound) > moduli.KRYLOV_CERTIFIED * np.max(np.abs(stopped))
+        monkeypatch.setattr(moduli, "_krylov_steps", lambda om: 8)
+        got = dense_brackets(omega_matrix(p), covectors)
+        want = moduli._lu_brackets(omega_matrix(p), fw, tw)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_bounds_cover_both_routes_against_each_other(self, plane):
+        n = 256
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.5, 2)):
+            p = ModuliPoint(plane, loop, theta)
+            _, fw, tw = weights(p)
+            om = omega_matrix(p)
+            krylov, krylov_bound = moduli._krylov_brackets(om, fw, tw, moduli._krylov_steps(om))
+            lu, lu_bound = moduli._lu_brackets(om, fw, tw)
+            roundoff = 32 * np.finfo(float).eps * np.max(np.abs(lu))
+            assert np.all(np.abs(krylov - lu) <= krylov_bound + lu_bound + roundoff)
+
+    def test_a_covector_with_no_dual_part_gives_zero_brackets(self, ellipse_point):
+        # weights along theta0^2 and theta0 pair to nothing: a zero right-hand side, no 0/0
+        p = ellipse_point
+        th = p.theta.values
+        covectors = [Covector(th**2, 3.0 * th), differential_covector(expr("x"), p)]
+        brackets, bound = moduli._krylov_brackets(omega_matrix(p), *np.stack(
+            [[ell.fweight for ell in covectors], [ell.tweight for ell in covectors]]), 20)
+        assert np.all(np.isfinite(brackets)) and np.all(np.isfinite(bound))
+        assert np.max(np.abs(brackets)) < 1e-14
 
 
 class TestSharp:
@@ -416,7 +515,7 @@ class TestSharp:
             ell = Covector(rng.standard_normal(p.n), rng.standard_normal(p.n))
             (got,) = dense_sharp(om, [ell])
             lf, lt = om.coordinates(ell.fweight, ell.tweight)
-            fvec, tvec = om.from_coordinates(
+            fvec, tvec = from_coordinates(om, 
                 np.linalg.solve(om.k_block.T, lt), -np.linalg.solve(om.k_block, lf)
             )
             assert np.array_equal(got.fvec, fvec)

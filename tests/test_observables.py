@@ -32,13 +32,13 @@ from bsmoduli import (
 )
 from bsmoduli import observables
 from bsmoduli.loops import integrate_density, loop_derivative, project_to_bs
-from bsmoduli.moduli import SINGULAR_FLOOR, dense_brackets, dense_sharp
+from bsmoduli.moduli import SINGULAR_FLOOR, dense_brackets
 from bsmoduli.observables import (
     bracket_reports,
     restricted_values,
     tangential_hamiltonian_coefficient,
 )
-from conftest import expr, observed_orders, random_tangent, smooth_tangent
+from conftest import dense_sharp, expr, observed_orders, random_tangent, smooth_tangent
 
 
 class TestEvaluateF:
@@ -246,7 +246,7 @@ class TestHamiltonianFields:
         fields = [expr(text) for text in SHIPPED_FIELDS]
         for f, g in zip(fields, fields[1:] + fields[:1]):
             covectors = [differential_covector(h, p) for h in (f, g)]
-            want = dense_brackets(omega_matrix(p), covectors)[0, 1]
+            want = dense_brackets(omega_matrix(p), covectors)[0][0, 1]
             assert moduli_bracket(f, g, p) == want
 
     @pytest.mark.parametrize("n", [64, 256, 512])
@@ -260,7 +260,7 @@ class TestHamiltonianFields:
             covectors = [differential_covector(f, p) for f in fields]
             duals = dense_sharp(om, covectors)
             want = np.array([[omega(p, h_i, h_j) for h_j in duals] for h_i in duals])
-            got = dense_brackets(om, covectors)
+            got, _ = dense_brackets(om, covectors)
             assert got.shape == (len(fields), len(fields))
             assert np.array_equal(got, -got.T)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -296,7 +296,7 @@ class TestHamiltonianFields:
         assert om.sigma_lower_bound < SINGULAR_FLOOR
         assert om.singular_values().min() <= p.n * np.finfo(float).eps * om.sigma_upper_bound
         assert dense_sharp(om, []) == []
-        assert dense_brackets(om, []).shape == (0, 0)
+        assert [a.shape for a in dense_brackets(om, [])] == [(0, 0), (0, 0)]
 
 
 def singular_pairing_point(plane):
@@ -331,6 +331,25 @@ class TestBracketReports:
             assert got["target"] == want["target"]
             assert got["matrix"] == pytest.approx(want["matrix"], rel=1e-13, abs=1e-13)
             assert got["rel_spread"] < 1e-10
+
+    def test_each_report_carries_the_certified_bound_of_its_matrix_value(self, plane):
+        n = 512
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        p = ModuliPoint(plane, loop, HalfDensity.cosine_profile(n, 0.3, 1))
+        fields = {text: expr(text) for text in SHIPPED_FIELDS}
+        pairs = [("x", "y"), ("x^2", "y"), ("x", "x^2+y^2"), ("sin(x)", "y"), ("x*y", "x^2-y^2")]
+        reports = bracket_reports([(fields[f], fields[g]) for f, g in pairs], p)
+        order = list(dict.fromkeys(name for pair in pairs for name in pair))
+        brackets, bounds = dense_brackets(
+            omega_matrix(p), [differential_covector(fields[name], p) for name in order])
+        for (f, g), report in zip(pairs, reports):
+            i, j = order.index(f), order.index(g)
+            assert report["matrix"] == brackets[i, j]
+            assert report["matrix_bound"] == bounds[i, j]
+            assert 0.0 < report["matrix_bound"] <= 1e-14 * np.max(np.abs(brackets))
+            single = bracket_report(fields[f], fields[g], p)
+            assert abs(single["matrix"] - report["matrix"]) <= (
+                single["matrix_bound"] + report["matrix_bound"] + 1e-15 * abs(report["matrix"]))
 
     def test_no_pairs(self, ellipse_point, pairings_built):
         assert bracket_reports([], ellipse_point) == []

@@ -45,6 +45,7 @@ against the density when the surface is built).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -727,10 +728,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built on the first ``main`` call and reused by the later ones."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

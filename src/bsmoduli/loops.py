@@ -87,8 +87,6 @@ def trig_resample(u, m):
     out[:keep] = spec[:keep]
     if m > n:
         out[n // 2] *= 0.5
-    elif m % 2 == 0 and spec.shape[0] > half_m - 1:
-        out[-1] = out[-1].real
     return np.fft.irfft(out, n=m, axis=0) * (m / n)
 
 

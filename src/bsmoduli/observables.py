@@ -110,10 +110,17 @@ def differential_covector(f, p):
     spectral derivative on the periodic grid.
     """
     th = p.theta.values
-    u = tangential_hamiltonian_coefficient(f, p)
-    fw = -loop_derivative(u * th**2)
-    tw = 2.0 * restricted_values(f, p) * th
-    return Covector(fweight=fw, tweight=tw)
+    values, u = _restriction(f, p, p.loop.tangent())
+    return Covector(fweight=-loop_derivative(u * th**2), tweight=2.0 * values * th)
+
+
+def _restriction(f, p, tan):
+    """(f o gamma, u_f) on the samples, u_f the tangential coefficient of X_f along tangent tan.
+
+    The per-field step of the dual and of the closed-form route.
+    """
+    u = tangential_coefficient(hamiltonian_vector_field(f, p.surface, p.loop.points), tan)
+    return restricted_values(f, p), u
 
 
 def hamiltonian_field_H(f, p):
@@ -141,29 +148,54 @@ def moduli_bracket(f, g, p, method="matrix"):
     if method not in BRACKET_METHODS:
         raise ValueError(f"unknown bracket method {method!r}")
     if method == "matrix":
-        return _matrix_bracket(f, g, p)[0]
+        covectors = [differential_covector(h, p) for h in (f, g)]
+        return float(dense_brackets(omega_matrix(p), covectors)[0][0, 1])
     if method == "closed_form":
-        integrand = _restricted_bracket(f, g, p.loop, p.surface)
-        return BRACKET_SIGN * 2.0 * integrate_density(integrand * p.theta.values**2)
+        tan = p.loop.tangent()
+        (f_loop, u_f), (g_loop, u_g) = (_restriction(h, p, tan) for h in (f, g))
+        df, dg = loop_derivative(f_loop), loop_derivative(g_loop)
+        return _closed_form(df, u_f, dg, u_g, p.theta.values)
     bracket_field = poisson_bracket_field(f, g, p.surface)
     return BRACKET_SIGN * 2.0 * evaluate_F(bracket_field, p)
 
 
-def _matrix_bracket(f, g, p):
-    """The matrix-route value of one pair and its certified bound."""
-    covectors = [differential_covector(h, p) for h in (f, g)]
+def _closed_form(df, u_f, dg, u_g, th):
+    """The closed-form route from (f o gamma)', u_f, (g o gamma)', u_g and theta0 on the samples."""
+    return BRACKET_SIGN * 2.0 * integrate_density((df * u_g - dg * u_f) * th**2)
+
+
+def _pair_routes(fields, p):
+    """route(i, j) -> (matrix value, its certified bound, closed-form value) of fields i and j.
+
+    The tangent, each field's ``_restriction`` and, in one ``loop_derivative``
+    call, the derivatives of every u_h theta0^2 and h o gamma are taken once;
+    one ``dense_brackets`` call on the fields' covectors gives every matrix
+    value.  The covectors have the bits of ``differential_covector`` and the
+    closed-form values those of ``moduli_bracket``'s closed form.
+    """
+    th = p.theta.values
+    tan = p.loop.tangent()
+    values, us = zip(*(_restriction(h, p, tan) for h in fields))
+    k = len(fields)
+    derivs = loop_derivative(np.stack([u * th**2 for u in us] + list(values), axis=1))
+    covectors = [Covector(-derivs[:, i], 2.0 * v * th) for i, v in enumerate(values)]
     brackets, bounds = dense_brackets(omega_matrix(p), covectors)
-    return float(brackets[0, 1]), float(bounds[0, 1])
+
+    def route(i, j):
+        closed = _closed_form(derivs[:, k + i], us[i], derivs[:, k + j], us[j], th)
+        return float(brackets[i, j]), float(bounds[i, j]), closed
+
+    return route
 
 
-def _report(f, g, p, matrix_value, matrix_bound):
+def _report(f, g, p, matrix_value, matrix_bound, closed_form):
     """The three route values, their relative spread and the matrix value's certified bound.
 
     GeometryError for a value that is not finite.
     """
     values = {
         "matrix": matrix_value,
-        "closed_form": moduli_bracket(f, g, p, "closed_form"),
+        "closed_form": closed_form,
         "target": moduli_bracket(f, g, p, "target"),
     }
     for route, value in values.items():
@@ -186,32 +218,37 @@ def bracket_report(f, g, p):
     GeometryError naming the route, not a raw warning.
     """
     with np.errstate(all="ignore"):
-        return _report(f, g, p, *_matrix_bracket(f, g, p))
+        return _report(f, g, p, *_pair_routes([f, g], p)(0, 1))
 
 
 def bracket_reports(pairs, p):
-    """bracket_report of every (f, g) pair at one point.
+    """bracket_report of every (f, g) pair at one point, from one pass over its fields.
 
-    The matrix route reads every pair's value and its certified bound
-    (``matrix_bound``) off one ``dense_brackets`` call, one solve on one
-    pairing, built only when there is a pair, with each distinct field
-    object dualized once; the values agree with bracket_report's, which
-    solves for one pair at a time, within their bounds.  As there, a
-    GeometryError of a pair, a value that is not finite included, is raised
-    naming the pair's index in ``pairs``.
+    Computed once per call: the loop's tangent; for each distinct field
+    object h, h o gamma and u_h, the tangential coefficient of X_h (one X_h
+    evaluation); the spectral derivatives of every u_h theta0^2 (for the
+    covectors) and every h o gamma (for the closed form) in one
+    ``loop_derivative`` call on an (N, 2k) stack, k the number of distinct
+    fields; and every pair's matrix value and certified bound
+    (``matrix_bound``), from one ``dense_brackets`` call, one solve on one
+    pairing, built only when there is a pair.  The target route runs per
+    pair.  Each closed_form and target has the bits of its ``moduli_bracket``
+    route, and each matrix value and bound those of ``dense_brackets`` on the
+    ``differential_covector`` of the distinct fields; the matrix values agree
+    with bracket_report's, which solves for one pair at a time, within their
+    bounds.  As there, a GeometryError of a pair, a value that is not finite
+    included, is raised naming the pair's index in ``pairs``.
     """
     if not pairs:
         return []
     with np.errstate(all="ignore"):
         distinct = {id(h): h for pair in pairs for h in pair}
         index = {key: i for i, key in enumerate(distinct)}
-        covectors = [differential_covector(h, p) for h in distinct.values()]
-        brackets, bounds = dense_brackets(omega_matrix(p), covectors)
+        route = _pair_routes(list(distinct.values()), p)
         reports = []
         for j, (f, g) in enumerate(pairs):
-            ij = index[id(f)], index[id(g)]
             try:
-                reports.append(_report(f, g, p, float(brackets[ij]), float(bounds[ij])))
+                reports.append(_report(f, g, p, *route(index[id(f)], index[id(g)])))
             except GeometryError as exc:
                 raise type(exc)(f"pairs[{j}]: {exc}") from exc
         return reports

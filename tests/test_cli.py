@@ -77,6 +77,34 @@ class TestExitCodes:
     def test_missing_config_flag_is_usage_error(self):
         assert main(["bracket-check"]) == EXIT_USAGE
 
+    def test_usage_errors_repeat_across_calls_on_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        argvs = [["frobnicate", "--config", "x.json"], [], ["bracket-check"],
+                 ["bs-scan", "--config", "x.json", "--tol", "nan"]]
+        want = []
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                real().parse_args(argv)
+            assert exc.value.code == EXIT_USAGE
+            want.append(capsys.readouterr().err)
+        assert all(err.startswith("usage: bsq") for err in want)
+        for _ in range(2):
+            for argv, err in zip(argvs, want):
+                assert main(argv) == EXIT_USAGE
+                assert capsys.readouterr().err == err
+            assert run("convergence", {"cases": ["derivative_bandlimited"], "sample_counts": [16]},
+                       tmp_path) == EXIT_OK
+        assert built == [1]
+        cli._parser.cache_clear()
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {{{")
@@ -955,6 +983,7 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("command,config,output", [
         ("convergence", "convergence.json", "convergence.csv"),
         ("bs-scan", "bs_scan.json", "bs_scan.csv"),
+        ("bracket-check", "bracket_check.json", "bracket_check.csv"),
     ])
     def test_default_config_matches_golden(self, tmp_path, command, config, output):
         assert run(command, CONFIG_DIR / config, tmp_path) == EXIT_OK

@@ -313,18 +313,18 @@ class TestBracketReports:
         x, y, r2 = expr("x"), expr("y"), expr("x^2+y^2")
         scaled = 1.7 * expr("x*y")
         pairs = [(x, y), (x, r2), (scaled, y), (r2, scaled), (y, y)]
-        dualized = []
-        real = observables.differential_covector
+        restricted = []
+        real = observables._restriction
 
-        def counted(f, q):
-            dualized.append(f)
-            return real(f, q)
+        def counted(f, q, tan):
+            restricted.append(f)
+            return real(f, q, tan)
 
-        monkeypatch.setattr(observables, "differential_covector", counted)
+        monkeypatch.setattr(observables, "_restriction", counted)
         reports = bracket_reports(pairs, p)
         assert pairings_built == [p]
         monkeypatch.undo()
-        assert len(dualized) == 4
+        assert len(restricted) == 4
         for (f, g), got in zip(pairs, reports):
             want = bracket_report(f, g, p)
             assert got["closed_form"] == want["closed_form"]
@@ -350,6 +350,52 @@ class TestBracketReports:
             single = bracket_report(fields[f], fields[g], p)
             assert abs(single["matrix"] - report["matrix"]) <= (
                 single["matrix_bound"] + report["matrix_bound"] + 1e-15 * abs(report["matrix"]))
+
+    @pytest.mark.parametrize("theta", ["uniform", "cosine"])
+    def test_one_pass_over_the_loop_and_the_fields(self, plane, monkeypatch, theta):
+        n = 512
+        loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
+        uniform = theta == "uniform"
+        weight = HalfDensity.uniform(n) if uniform else HalfDensity.cosine_profile(n, 0.3, 1)
+        p = ModuliPoint(plane, loop, weight)
+        fields = {text: expr(text) for text in SHIPPED_FIELDS}
+        names = [("x", "y"), ("x^2", "y"), ("x", "x^2+y^2"), ("sin(x)", "y"), ("x*y", "x^2-y^2")]
+        pairs = [(fields[f], fields[g]) for f, g in names]
+        order = list(dict.fromkeys(name for pair in names for name in pair))
+        assert sorted(order) == sorted(SHIPPED_FIELDS)
+        calls = {"tangent": 0, "derivative": [], "field": []}
+        tangent, derivative = Loop.tangent, observables.loop_derivative
+        field = observables.hamiltonian_vector_field
+
+        def counted_tangent(self):
+            calls["tangent"] += 1
+            return tangent(self)
+
+        def counted_derivative(u):
+            calls["derivative"].append(np.shape(u))
+            return derivative(u)
+
+        def counted_field(f, surface, q):
+            calls["field"].append(f)
+            return field(f, surface, q)
+
+        monkeypatch.setattr(Loop, "tangent", counted_tangent)
+        monkeypatch.setattr(observables, "loop_derivative", counted_derivative)
+        monkeypatch.setattr(observables, "hamiltonian_vector_field", counted_field)
+        reports = bracket_reports(pairs, p)
+        monkeypatch.undo()
+        assert calls["tangent"] == 1
+        assert calls["derivative"] == [(n, 2 * len(order))]
+        assert calls["field"] == [fields[name] for name in order]
+        assert all(a is fields[name] for a, name in zip(calls["field"], order))
+        brackets, bounds = dense_brackets(
+            omega_matrix(p), [differential_covector(fields[name], p) for name in order])
+        for (f, g), (fs, gs), report in zip(pairs, names, reports):
+            i, j = order.index(fs), order.index(gs)
+            assert report["matrix"] == brackets[i, j]
+            assert report["matrix_bound"] == bounds[i, j]
+            assert report["closed_form"] == moduli_bracket(f, g, p, "closed_form")
+            assert report["target"] == moduli_bracket(f, g, p, "target")
 
     def test_no_pairs(self, ellipse_point, pairings_built):
         assert bracket_reports([], ellipse_point) == []

@@ -163,53 +163,14 @@ def flat(p, v):
     return Covector(fweight=-v.tvec * th, tweight=v.fvec * th)
 
 
-def _fourier_weights(n):
-    """Scale from the float view of an orthonormal rfft to the real Fourier coefficients.
+def _complement_reflector(unit):
+    """Householder reflector (v, beta), H = I - beta v v^T, of a unit vector of samples.
 
-    The view of rfft(x, norm="ortho") is Re z_0, Im z_0 = 0, Re z_1, Im z_1,
-    ..., Re z_{n/2}, Im z_{n/2} = 0; the coefficients are Re z_0, then
-    sqrt(2) Re z_k and -sqrt(2) Im z_k for k = 1 .. n/2 - 1, then Re z_{n/2}.
+    H maps the unit vector to a multiple of e_0, so the columns 1 .. n-1 of
+    H are an orthonormal basis of its orthogonal complement, orthonormal to
+    roundoff.
     """
-    w = np.full(n, np.sqrt(2.0))
-    w[2::2] = -np.sqrt(2.0)
-    w[0] = w[-1] = 1.0
-    return w
-
-
-def _fourier_analysis(x):
-    """Coefficients of samples (last axis, n even) in the Euclid-orthonormal real Fourier basis.
-
-    The basis is the constant 1/sqrt(n), the pairs sqrt(2/n) cos(2 pi k s),
-    sqrt(2/n) sin(2 pi k s) for k = 1 .. n/2 - 1, and the alternating mode
-    (-1)^j / sqrt(n), in that order.  One ``rfft`` gives them all, scaled in
-    place in its float view, with Re z_0 moved into the empty slot of Im z_0.
-    """
-    z = np.ascontiguousarray(np.fft.rfft(x, axis=-1, norm="ortho")).view(float)
-    z[..., 1] = z[..., 0]
-    out = z[..., 1:-1]
-    out *= _fourier_weights(x.shape[-1])
-    return out
-
-
-def _fourier_synthesis(c):
-    """Samples of Fourier coefficients (last axis): the inverse of ``_fourier_analysis``."""
-    n = c.shape[-1]
-    z = np.empty(c.shape[:-1] + (n + 2,))
-    np.divide(c, _fourier_weights(n), out=z[..., 1:-1])
-    z[..., 0] = z[..., 1]
-    z[..., 1] = z[..., -1] = 0.0
-    return np.fft.irfft(z.view(complex), n, axis=-1, norm="ortho")
-
-
-def _complement_reflector(direction):
-    """Householder reflector (v, beta), H = I - beta v v^T, of one direction's Fourier coefficients.
-
-    H maps the direction's unit coefficient vector to a multiple of e_0, so
-    the columns 1 .. n-1 of F H (F the Fourier basis) are an orthonormal
-    basis of the direction's orthogonal complement, built from Fourier modes
-    (natural for periodic data) and orthonormal to roundoff.
-    """
-    v = _fourier_analysis(direction / np.linalg.norm(direction))
+    v = unit.copy()
     v[0] += np.copysign(1.0, v[0])
     return v, 2.0 / (v @ v)
 
@@ -225,13 +186,13 @@ class OmegaMatrix:
 
     The basis splits into a function block (constraint on f1) and a density
     block (constraint on theta1), each of dimension N-1: the columns
-    sqrt(N) F H_f E and sqrt(N) F H_t E, with F the orthonormal real Fourier
-    basis (``_fourier_analysis``), H_f and H_t the Householder reflectors of
-    theta0^2 and theta0 (``_complement_reflector``), and E the columns
-    1 .. N-1 of the identity.  The columns are orthonormal in the mean inner
-    product <a, b> = mean(a*b).  The pairing is exactly block-off-diagonal,
+    sqrt(N) H_f E and sqrt(N) H_t E on samples, with H_f and H_t the
+    Householder reflectors of theta0^2 and theta0 (``_complement_reflector``)
+    and E the columns 1 .. N-1 of the identity.  The columns are orthonormal
+    in the mean inner product <a, b> = mean(a*b).  The pairing is exactly
+    block-off-diagonal,
 
-        Omega = [[0, K], [-K^T, 0]],    K = E^T H_f F^T diag(theta0) F H_t E,
+        Omega = [[0, K], [-K^T, 0]],    K = E^T H_f diag(theta0) H_t E,
 
     so its singular values are those of K, each doubled.
 
@@ -242,7 +203,7 @@ class OmegaMatrix:
         apply(t) = P_f (theta0 t),    apply_transpose(f) = P_t (theta0 f),
 
     with P_f and P_t the projectors onto (theta0^2)^perp and theta0^perp, each
-    a rank-one update: O(N) per vector, no FFT and no N x N array.  A
+    a rank-one update: O(N) per vector and no N x N array.  A
     compression raises no singular value, and K's inverse is ``sharp``'s
     formula, t = f/theta0 - (<f>/<theta0^2>) theta0 with |t| <= |f|/min|theta0|,
     so
@@ -252,11 +213,9 @@ class OmegaMatrix:
     The two ends are kept as ``sigma_lower_bound`` and ``sigma_upper_bound``.
     They fix the step count and the error bar of ``dense_brackets``' Krylov
     solve before it starts.  The N x N array ``k_block`` is assembled only on
-    demand, for the LU fallback and for ``singular_values``: synthesize the
-    rows of (H_t E)^T with one ``irfft``, multiply them by theta0, analyse
-    them with one ``rfft``, reflect them by H_f as a rank-one update and drop
-    the first column, in O(N^2 log N).  ``coordinates`` goes through the same
-    analysis.
+    demand, for the LU fallback and for ``singular_values``: diag(theta0)
+    with two rank-one updates, one for each reflector, and its first row and
+    column dropped, in O(N^2).
     """
 
     def __init__(self, p):
@@ -283,17 +242,15 @@ class OmegaMatrix:
 
     @cached_property
     def _reflectors(self):
-        return _complement_reflector(self._theta0**2), _complement_reflector(self._theta0)
+        return _complement_reflector(self._f_unit), _complement_reflector(self._t_unit)
 
     @cached_property
     def k_block(self):
-        """K as an (N-1) x (N-1) array, assembled by FFT on first use."""
-        f_reflector, (v, beta) = self._reflectors
-        rows = np.multiply.outer(-beta * v[1:], v)
-        rows[:, 1:][np.diag_indices(self.n - 1)] += 1.0
-        t_rows = _fourier_synthesis(rows)
-        t_rows *= self._theta0
-        return _reflect(_fourier_analysis(t_rows), f_reflector)[:, 1:].T
+        """K as an (N-1) x (N-1) array: H_f diag(theta0) H_t less its first row and column."""
+        (vf, bf), (vt, bt) = self._reflectors
+        k = np.diag(self._theta0) - np.multiply.outer(bt * self._theta0 * vt, vt)
+        k -= np.multiply.outer(vf, bf * (vf @ k))
+        return k[1:, 1:]
 
     def singular_values(self):
         """Singular values of the assembled matrix, those of K each twice, by an SVD on each call.
@@ -311,7 +268,7 @@ class OmegaMatrix:
         covector's two weights, the covector's values on the basis columns.
         """
         return tuple(
-            _reflect(_fourier_analysis(x), reflector)[..., 1:] / np.sqrt(self.n)
+            _reflect(x, reflector)[..., 1:] / np.sqrt(self.n)
             for x, reflector in zip((fvec, tvec), self._reflectors)
         )
 
@@ -359,14 +316,14 @@ KRYLOV_RESIDUAL = 1e-16
 KRYLOV_CERTIFIED = 1e-14
 
 # Costs in seconds, least-squares fits (relative error within 40% for a step,
-# 20% for the LU) to best-of-7 timings of both routes over N = 16 ... 4096 and
+# 22% for the LU) to best-of-7 timings of both routes over N = 16 ... 4096 and
 # k = 2, 7, 14 right-hand sides, one BLAS thread, numpy 2.4, a 2-vCPU x86-64
 # VM: a Krylov step, base + per_sample * k * N (one ``apply`` and one
 # ``apply_transpose`` of k rows, and the vector updates), and the LU route,
-# cubic * N^3 + quadratic * N^2 + constant (K assembled by FFT, one LU solve of
-# it and its residual).
+# cubic * N^3 + quadratic * N^2 + constant (K assembled by two rank-one
+# updates, one LU solve of it and its residual).
 KRYLOV_STEP_S = (2.2e-5, 6.0e-9)
-LU_S = (1.3e-11, 3.0e-8, 2.3e-4)
+LU_S = (1.5e-11, 1.4e-8, 6.6e-5)
 
 
 def _krylov_steps(om):
@@ -486,12 +443,13 @@ def dense_brackets(om, covectors):
     that N.  It reads only N, k and the enclosure, so the same input always
     takes the same route.  Uniform theta0 takes 1 step, and Krylov at every
     N; cosine(a, h) weights, kappa = (1 + a)/(1 - a), take
-    ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1 (Krylov from N = 128), 32
-    at a = 0.3 and 55 at a = 0.5 (from N = 256), 169 at a = 0.8 (from
-    N = 512).  At N = 512 the 7 fields of bracket-check cost about 1.4 ms by
-    Krylov at a = 0.3 against 10 ms by the LU.  An empty list gives two
-    0 x 0 arrays even on a singular pairing; otherwise raises
-    SingularPairing when min|theta0| is below SINGULAR_FLOOR.
+    ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1 and 32 at a = 0.3 (Krylov
+    from N = 256), 55 at a = 0.5 (from N = 512), 169 at a = 0.8 (from
+    N = 512 for k = 2, N = 1024 for k = 7).  At N = 512 the 7 fields of
+    bracket-check cost about 1.5 ms by Krylov at a = 0.3 against 6.5 ms by
+    the LU.  An empty list gives two 0 x 0 arrays even on a singular
+    pairing; otherwise raises SingularPairing when min|theta0| is below
+    SINGULAR_FLOOR.
     """
     if not covectors:
         return np.zeros((0, 0)), np.zeros((0, 0))

@@ -67,8 +67,7 @@ def from_coordinates(om, xf, xt):
     The inverse of ``om.coordinates`` on constrained tangent vectors.
     """
     return tuple(
-        moduli._fourier_synthesis(moduli._reflect(np.insert(x, 0, 0.0, axis=-1), reflector))
-        * np.sqrt(om.n)
+        np.sqrt(om.n) * moduli._reflect(np.insert(x, 0, 0.0, axis=-1), reflector)
         for x, reflector in zip((xf, xt), om._reflectors)
     )
 

@@ -248,43 +248,75 @@ def criterion_01_loops(n):
     ]
 
 
-class TestFourierTransforms:
-    # the explicit columns carry ~n eps of roundoff from cos and sin of large
-    # arguments (measured 2.3e-13 at N = 512, 4.7e-13 at N = 1024), so they
-    # are matched to n * 1e-15; the round trip has no such term
-    @pytest.mark.parametrize("n", [8, 16, 64, 512, 1024])
-    def test_match_the_explicit_basis(self, n, rng):
-        fourier, atol = explicit_fourier_basis(n), n * 1e-15
-        x = rng.standard_normal((3, n))
-        c = moduli._fourier_analysis(x)
-        np.testing.assert_allclose(c, x @ fourier, rtol=0, atol=atol)
-        np.testing.assert_allclose(moduli._fourier_synthesis(c), x, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(moduli._fourier_synthesis(x), x @ fourier.T, rtol=0, atol=atol)
+def explicit_reflector(reflector):
+    """The Householder matrix I - beta v v^T as an explicit n x n array."""
+    v, beta = reflector
+    return np.eye(v.size) - beta * np.multiply.outer(v, v)
 
-    @pytest.mark.parametrize("n", [8, 64])
-    def test_each_mode_has_its_place_and_sign(self, n):
-        # columns 0 and n-1 are the constant and the alternating mode, and the
-        # sine of a pair follows its cosine, with a positive coefficient
-        fourier, atol = explicit_fourier_basis(n), n * 1e-15
-        eye = np.eye(n)
-        np.testing.assert_allclose(moduli._fourier_analysis(fourier.T), eye, rtol=0, atol=atol)
-        np.testing.assert_allclose(moduli._fourier_synthesis(eye), fourier.T, rtol=0, atol=atol)
-        constant = moduli._fourier_analysis(np.ones(n))
-        assert constant[0] == pytest.approx(np.sqrt(n), abs=1e-13)
-        assert np.max(np.abs(constant[1:])) < 1e-13
-        s = np.arange(n) / n
-        alternating = moduli._fourier_analysis((-1.0) ** np.arange(n))
-        assert alternating[-1] == pytest.approx(np.sqrt(n), abs=1e-13)
-        sine = moduli._fourier_analysis(np.sin(2 * np.pi * s))
-        assert sine[2] == pytest.approx(np.sqrt(n / 2), abs=1e-13)
-        assert np.max(np.abs(np.delete(sine, 2))) < 1e-13
+
+class TestComplementReflector:
+    @pytest.mark.parametrize("n", [8, 16, 64, 512, 1024])
+    def test_maps_the_unit_vector_to_e0_and_is_an_orthogonal_involution(self, n, rng):
+        for sign in (1.0, -1.0):
+            unit = rng.standard_normal(n)
+            unit[0] = sign * abs(unit[0])
+            unit /= np.linalg.norm(unit)
+            reflector = moduli._complement_reflector(unit)
+            h = explicit_reflector(reflector)
+            image = moduli._reflect(unit, reflector)
+            assert image[0] == pytest.approx(-sign, abs=1e-14)
+            assert np.max(np.abs(image[1:])) < 1e-14
+            np.testing.assert_allclose(h @ h.T, np.eye(n), rtol=0, atol=1e-14)
+            x = rng.standard_normal(n)
+            np.testing.assert_allclose(moduli._reflect(moduli._reflect(x, reflector), reflector),
+                                       x, rtol=0, atol=1e-13)
+            # columns 1 .. n-1 span the orthogonal complement of the unit vector
+            assert np.max(np.abs(unit @ h[:, 1:])) < 1e-14
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_coordinate_axis_takes_no_cancellation(self, axis, sign):
+        # v[0] is |unit[0]| + 1 in magnitude, so beta stays finite on the axes
+        n = 16
+        unit = np.zeros(n)
+        unit[axis] = sign
+        reflector = moduli._complement_reflector(unit)
+        assert np.isfinite(reflector[1])
+        want = np.zeros(n)
+        want[0] = -np.copysign(1.0, unit[0])
+        np.testing.assert_allclose(moduli._reflect(unit, reflector), want, rtol=0, atol=1e-15)
+
+    def test_reflect_acts_along_the_last_axis(self, rng):
+        n = 32
+        unit = rng.standard_normal(n)
+        reflector = moduli._complement_reflector(unit / np.linalg.norm(unit))
+        x = rng.standard_normal((3, 2, n))
+        np.testing.assert_allclose(moduli._reflect(x, reflector),
+                                   x @ explicit_reflector(reflector).T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("theta", ["uniform", "cosine"])
+    def test_k_block_is_the_explicit_product(self, plane, theta):
+        # K = E^T H_f diag(theta0) H_t E, by explicit matrices and gemm
+        n = 64
+        density = HalfDensity.uniform(n) if theta == "uniform" else HalfDensity.cosine_profile(n, 0.5, 2)
+        p = ModuliPoint(plane, Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), density,
+                        strict=False)
+        om = omega_matrix(p)
+        hf, ht = (explicit_reflector(r) for r in om._reflectors)
+        want = (hf * p.theta.values) @ ht
+        np.testing.assert_allclose(om.k_block, want[1:, 1:], rtol=0, atol=1e-14)
+        # the dropped column carries nothing: H_t e0 is a multiple of theta0,
+        # which diag(theta0) takes to one of theta0^2 and H_f to one of e0
+        assert np.max(np.abs(want[1:, 0])) < 1e-14
 
 
 class TestDenseReference:
     @pytest.mark.parametrize("n", [16, 64, 256, 512, 1024])
     def test_assembly_agrees_with_dense_reference(self, n):
-        # measured worst: 2.2e-13 (singular values, N = 1024), 4.5e-15 (duals),
-        # 4.0e-14 (bracket values), over these instances
+        # the package's basis (Householder on samples) is not the reference's
+        # (QR on Fourier columns), so this also checks basis independence;
+        # measured worst, relative: 5.1e-14 (singular values), 7.9e-15
+        # (duals), 3.4e-14 (bracket values), over these instances
         densities = [HalfDensity.cosine_profile(n, 0.5, 3)]
         if n <= 256:
             densities += [HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1),
@@ -315,6 +347,26 @@ class TestDenseReference:
                     }
                     for route, value in reference.items():
                         assert abs(report[route] - value) <= 1e-12 * abs(value)
+
+    def test_assembly_takes_no_fft(self, ellipse_point, monkeypatch):
+        # the basis lives on samples: K, the coordinates, the spectrum and the
+        # LU route give the same values with both transforms made to raise
+        p = ellipse_point
+        _, fw, tw = weights(p)
+
+        def calls(om):
+            return [om.k_block, *om.coordinates(fw, tw), om.singular_values(),
+                    *moduli._lu_brackets(om, fw, tw)]
+
+        want = calls(omega_matrix(p))
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the pairing took an FFT")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        monkeypatch.setattr(np.fft, "irfft", no_fft)
+        for a, b in zip(calls(omega_matrix(p)), want, strict=True):
+            assert np.array_equal(a, b)
 
     def test_basis_columns_are_mean_orthonormal_complements(self, ellipse_point):
         p = ellipse_point

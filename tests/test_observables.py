@@ -404,10 +404,11 @@ class TestBracketReports:
     @pytest.mark.filterwarnings("error")
     def test_a_bracket_that_is_not_finite_is_a_geometry_error(self, ellipse_point):
         # the routes overflow under one errstate: no raw warning, and the
-        # first route that is not finite names itself and its pair
+        # first route that is not finite names itself and its pair (here the
+        # matrix route takes the LU, whose value overflows to nan)
         p = ellipse_point
         big = (expr("1e160*x"), expr("1e160*y"))
-        message = r"the matrix bracket is -inf, not finite$"
+        message = r"the matrix bracket is nan, not finite$"
         with pytest.raises(GeometryError, match=r"^pairs\[1\]: " + message):
             bracket_reports([(expr("x"), expr("y")), big], p)
         with pytest.raises(GeometryError, match="^" + message):

@@ -324,15 +324,17 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
 
     As in flow_classical, negative h integrates backwards and h = 0 raises
     ValueError.  Each requested step of length h runs as ``substeps[i]`` equal RK4
-    substeps, m = max(1, ceil(z / RK4_STABLE_Z)) with
+    substeps, m = max(1, ceil(z / RK4_STABLE_Z), substeps[i - 1]) with
     z = |h| * 2 pi (N/2 - 1) * 2 max|u_f|: the normal-displacement flow
     advects the loop at speed 2 u_f, so Fourier mode k has eigenvalue
     i 2 pi k 2 u_f, and the fastest resolved mode is k = N/2 - 1 (the
     Nyquist mode has zero spectral derivative).  u_f comes from the first
-    stage of the step.  Records per step: time, F_f, pre-renormalization
-    volume defect, pre-projection level defect, the action integrals the
-    level projection takes after its first (``projection_passes``), and a
-    CRC32 state checksum.
+    stage of the step.  The count never falls within a flow: a step whose z
+    has just dropped below a multiple of RK4_STABLE_Z would otherwise run
+    at the edge of the margin and drift F_f.  Records per step: time, F_f,
+    pre-renormalization volume defect, pre-projection level defect, the
+    action integrals the level projection takes after its first
+    (``projection_passes``), and a CRC32 state checksum.
     Snapshots of the full state are kept every ``snapshot_every`` steps when
     positive.  The flow runs under ``np.errstate(all="ignore")``; a state
     that stops being finite, a z with no int64 substep count, or a raw volume
@@ -369,7 +371,7 @@ def flow_moduli(f, p0, t_final, h, snapshot_every=0):
                 z = abs(h) * 2.0 * np.pi * (len(pts) // 2 - 1) * 2.0 * float(np.abs(u).max())
                 if not z / RK4_STABLE_Z < 2.0**63:  # NaN too; below 2^63 the count fits int64
                     raise GeometryError(f"RK4 substep count out of range (z = {z!r})")
-                m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z))
+                m = substeps[i] = max(1, math.ceil(z / RK4_STABLE_Z), substeps[i - 1] if i else 0)
                 for j in range(m):
                     if j:
                         nu, t1, _ = _stage_velocity(f, surface, pts, th)

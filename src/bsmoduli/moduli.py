@@ -213,9 +213,9 @@ class OmegaMatrix:
     The two ends are kept as ``sigma_lower_bound`` and ``sigma_upper_bound``.
     They fix the step count and the error bar of ``dense_brackets``' Krylov
     solve before it starts.  The N x N array ``k_block`` is assembled only on
-    demand, for the LU fallback and for ``singular_values``: diag(theta0)
-    with two rank-one updates, one for each reflector, and its first row and
-    column dropped, in O(N^2).
+    demand: for the LU that runs when that solve misses its certificate, and
+    for ``singular_values``.  It is diag(theta0) with two rank-one updates,
+    one for each reflector, and its first row and column dropped, in O(N^2).
     """
 
     def __init__(self, p):
@@ -315,16 +315,6 @@ def sharp(p, ell):
 KRYLOV_RESIDUAL = 1e-16
 KRYLOV_CERTIFIED = 1e-14
 
-# Costs in seconds, least-squares fits (relative error within 40% for a step,
-# 22% for the LU) to best-of-7 timings of both routes over N = 16 ... 4096 and
-# k = 2, 7, 14 right-hand sides, one BLAS thread, numpy 2.4, a 2-vCPU x86-64
-# VM: a Krylov step, base + per_sample * k * N (one ``apply`` and one
-# ``apply_transpose`` of k rows, and the vector updates), and the LU route,
-# cubic * N^3 + quadratic * N^2 + constant (K assembled by two rank-one
-# updates, one LU solve of it and its residual).
-KRYLOV_STEP_S = (2.2e-5, 6.0e-9)
-LU_S = (1.5e-11, 1.4e-8, 6.6e-5)
-
 
 def _krylov_steps(om):
     """CGLS steps that bring every relative residual below KRYLOV_RESIDUAL, from the enclosure.
@@ -339,14 +329,6 @@ def _krylov_steps(om):
         return 1
     rate = math.log((kappa + 1.0) / (kappa - 1.0))
     return max(1, math.ceil(math.log(2.0 / KRYLOV_RESIDUAL) / rate))
-
-
-def _prefers_krylov(n, k, steps):
-    """Whether ``steps`` Krylov steps and the residual on k right-hand sides cost less than the LU."""
-    base, per_sample = KRYLOV_STEP_S
-    krylov = (steps + 1) * (base + per_sample * k * n)
-    cubic, quadratic, constant = LU_S
-    return krylov < cubic * n**3 + quadratic * n**2 + constant
 
 
 _TINY = np.finfo(float).tiny
@@ -428,39 +410,31 @@ def dense_brackets(om, covectors):
     brackets a - a^T, a = lt xt, exactly antisymmetric, and for each entry
     the bound (|lt_i| |r_j| + |lt_j| |r_i|) / min|theta0| on its distance to
     the exact value, from the true residual r = -lf - K xt (item 13's
-    enclosure gives sigma_min(K) >= min|theta0|).  Two routes solve K:
+    enclosure gives sigma_min(K) >= min|theta0|).  K is solved by Krylov
+    first, with the LU as its fallback:
 
     - Krylov: ``_krylov_steps(om)`` steps of CGLS with ``apply`` and
       ``apply_transpose``, O(k N) each.  It only multiplies by theta0, never
       divides, so it stays independent of ``sharp``.  Its values are returned
-      only when every bound is at most KRYLOV_CERTIFIED times the largest
-      |bracket|; otherwise the LU below runs and its values are returned.
-    - LU: one ``np.linalg.solve`` of ``k_block``, O(N^3), after assembling it.
+      when every bound is at most KRYLOV_CERTIFIED times the largest
+      |bracket|.
+    - LU: otherwise one ``np.linalg.solve`` of ``k_block``, O(N^3), after
+      assembling it, and its values are returned.
 
-    The rule takes the Krylov route when (steps + 1) times the measured cost
-    of a step, KRYLOV_STEP_S = (base, per sample and right-hand side), is
-    below the measured LU cost LU_S = (N^3, N^2, constant coefficients) at
-    that N.  It reads only N, k and the enclosure, so the same input always
-    takes the same route.  Uniform theta0 takes 1 step, and Krylov at every
-    N; cosine(a, h) weights, kappa = (1 + a)/(1 - a), take
-    ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1 and 32 at a = 0.3 (Krylov
-    from N = 256), 55 at a = 0.5 (from N = 512), 169 at a = 0.8 (from
-    N = 512 for k = 2, N = 1024 for k = 7).  At N = 512 the 7 fields of
-    bracket-check cost about 1.5 ms by Krylov at a = 0.3 against 6.5 ms by
-    the LU.  An empty list gives two 0 x 0 arrays even on a singular
-    pairing; otherwise raises SingularPairing when min|theta0| is below
-    SINGULAR_FLOOR.
+    Uniform theta0 takes 1 step; cosine(a, h) weights, kappa = (1 + a)/(1 - a),
+    take ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1, 32 at a = 0.3, 55 at
+    a = 0.5 and 169 at a = 0.8.  An empty list gives two 0 x 0 arrays even on
+    a singular pairing; otherwise raises SingularPairing when min|theta0| is
+    below SINGULAR_FLOOR.
     """
     if not covectors:
         return np.zeros((0, 0)), np.zeros((0, 0))
     _require_pointwise_dual(om.sigma_lower_bound)
     fweights = np.stack([ell.fweight for ell in covectors])
     tweights = np.stack([ell.tweight for ell in covectors])
-    steps = _krylov_steps(om)
-    if _prefers_krylov(om.n, len(covectors), steps):
-        brackets, bounds = _krylov_brackets(om, fweights, tweights, steps)
-        if np.all(bounds <= KRYLOV_CERTIFIED * np.max(np.abs(brackets))):
-            return brackets, bounds
+    brackets, bounds = _krylov_brackets(om, fweights, tweights, _krylov_steps(om))
+    if np.all(bounds <= KRYLOV_CERTIFIED * np.max(np.abs(brackets))):
+        return brackets, bounds
     return _lu_brackets(om, fweights, tweights)
 
 

@@ -935,9 +935,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("pair_count", [1, 5])
     def test_one_solve_per_instance(self, tmp_path, monkeypatch, pairings_built, pair_count):
         # the pairing is certified by its closed-form enclosure, with no SVD, and built
-        # once; every bracket of an instance comes from one solve of its K block: at
-        # N = 64 the rule takes a certified Krylov solve for uniform theta0 (1 step)
-        # and the LU for cosine(0.3, 1) (32 steps cost more than the LU there)
+        # once; every bracket of an instance comes from one certified Krylov solve, for
+        # uniform theta0 (1 step) and for cosine(0.3, 1) (32 steps), with no LU
         counts = self.count_linalg(monkeypatch)
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 64
@@ -945,7 +944,7 @@ class TestDeterminism:
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         loops = len(cfg["loops"])
         assert cfg["densities"][0]["type"] == "uniform" and len(cfg["densities"]) == 2
-        assert counts == {"solve": loops, "svd": 0, "krylov": loops}
+        assert counts == {"solve": 0, "svd": 0, "krylov": 2 * loops}
         assert len(pairings_built) == 2 * loops
 
     def test_one_svd_per_instance_when_dumping_singular_values(self, tmp_path, monkeypatch,
@@ -957,7 +956,7 @@ class TestDeterminism:
         cfg.update(n_samples=n, dump_singular_values=True)
         assert run("bracket-check", cfg, tmp_path) == EXIT_OK
         instances = len(cfg["loops"]) * len(cfg["densities"])
-        assert counts == {"solve": instances // 2, "svd": instances, "krylov": instances // 2}
+        assert counts == {"solve": 0, "svd": instances, "krylov": instances}
         assert len(pairings_built) == 2 * instances
         rows = read_rows(tmp_path / "omega_singular_values.csv")
         assert len(rows) == instances * 2 * (n - 1)

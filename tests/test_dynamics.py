@@ -669,6 +669,19 @@ class TestModuliSubsteps:
         assert np.all(traj.substeps >= 2)
         assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-6
 
+    def test_substep_count_never_falls_within_a_flow(self, plane):
+        # z falls just below RK4_STABLE_Z at step 12 here; dropping to one substep
+        # there drifted F_f by 3.2e-6
+        n = 128
+        loop = Loop.ellipse(
+            1.256280788936495, 0.7046088527489403,
+            center=(0.19783493758440407, -0.22641810246511299), n=n, angle=2.216369717209144,
+        )
+        p0 = ModuliPoint(plane, project_to_bs(loop, plane), HalfDensity.uniform(n))
+        traj = flow_moduli(expr("sin(1.2878*x)+0.9491*y^2"), p0, 0.1, 0.005)
+        assert np.all(traj.substeps == 2)
+        assert np.max(np.abs(traj.observable_values - traj.observable_values[0])) <= 1e-6
+
 
 def oracle_stage(f, p):
     """The stage velocity through the moduli objects: dual of dF_f, then its normal displacement."""

@@ -408,29 +408,16 @@ class TestKrylovPairing:
         om = omega_matrix(ModuliPoint(plane, Loop.circle(np.sqrt(1 / np.pi), n=n), theta))
         assert moduli._krylov_steps(om) == steps
 
-    def test_rule(self):
-        # the goldens and the benchmark rest on these: k = 2 at cosine(0.3) (32 steps)
-        # takes the LU up to N = 128 and Krylov from N = 256; uniform theta0 (1 step)
-        # always takes Krylov; certify's 7 fields at N = 512 take Krylov up to a = 0.5
-        assert [moduli._prefers_krylov(n, 2, 32) for n in (16, 32, 64, 128, 256)] == [
-            False, False, False, False, True]
-        assert all(moduli._prefers_krylov(n, 7, 1) for n in (16, 64, 512, 4096))
-        assert moduli._prefers_krylov(512, 7, 55)
-        assert not moduli._prefers_krylov(512, 7, 2000)
-
     @pytest.mark.parametrize("n", [64, 512])
-    def test_dense_brackets_takes_the_rule_and_builds_no_k_block_on_krylov(self, plane, n):
+    def test_dense_brackets_is_the_krylov_solve_and_builds_no_k_block(self, plane, n):
         loop = project_to_bs(Loop.ellipse(2.0, 0.5, center=(0.5, 0.1), n=n), plane)
         for theta in (HalfDensity.uniform(n), HalfDensity.cosine_profile(n, 0.3, 1)):
             p = ModuliPoint(plane, loop, theta)
             covectors, fw, tw = weights(p)
             om = omega_matrix(p)
             got = dense_brackets(om, covectors)
-            krylov = moduli._prefers_krylov(n, len(covectors), moduli._krylov_steps(om))
-            assert krylov == (n == 512 or theta.values.min() == theta.values.max())
-            assert ("k_block" in vars(om)) == (not krylov)
-            want = (moduli._krylov_brackets(omega_matrix(p), fw, tw, moduli._krylov_steps(om))
-                    if krylov else moduli._lu_brackets(omega_matrix(p), fw, tw))
+            assert "k_block" not in vars(om)
+            want = moduli._krylov_brackets(omega_matrix(p), fw, tw, moduli._krylov_steps(om))
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
             brackets, bound = got

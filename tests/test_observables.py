@@ -405,7 +405,8 @@ class TestBracketReports:
     def test_a_bracket_that_is_not_finite_is_a_geometry_error(self, ellipse_point):
         # the routes overflow under one errstate: no raw warning, and the
         # first route that is not finite names itself and its pair (here the
-        # matrix route takes the LU, whose value overflows to nan)
+        # matrix route's Krylov bound is nan, so it falls back to the LU,
+        # whose value overflows to nan too)
         p = ellipse_point
         big = (expr("1e160*x"), expr("1e160*y"))
         message = r"the matrix bracket is nan, not finite$"

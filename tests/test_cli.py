@@ -27,6 +27,7 @@ from bsmoduli.errors import GeometryError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
 
 # A circle spec for the loop-center checks; each test sets its own "center".
@@ -983,9 +984,26 @@ class TestGoldenFiles:
         ("convergence", "convergence.json", "convergence.csv"),
         ("bs-scan", "bs_scan.json", "bs_scan.csv"),
         ("bracket-check", "bracket_check.json", "bracket_check.csv"),
+        ("flow", "flow_moduli.json", "flow_moduli.csv"),
+        ("flow", "flow_moduli.json", "flow_moduli_snapshots.json"),
+        ("flow", "flow_classical.json", "flow_classical.csv"),
+        ("identity-check", "identity_check.json", "identity_check.csv"),
+        ("qm-check", "qm_check.json", "qm_check.csv"),
     ])
     def test_default_config_matches_golden(self, tmp_path, command, config, output):
         assert run(command, CONFIG_DIR / config, tmp_path) == EXIT_OK
         golden = GOLDEN_DIR / output
         assert golden.exists(), f"golden file {output} missing"
         assert (tmp_path / output).read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("demo", sorted(p.name for p in DEMO_DIR.glob("*.py")))
+    def test_demo_stdout_matches_golden(self, demo):
+        golden = GOLDEN_DIR / "demos" / demo.replace(".py", ".txt")
+        assert golden.exists(), f"golden stdout of {demo} missing"
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, str(DEMO_DIR / demo)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout == golden.read_text()

@@ -417,7 +417,10 @@ def dense_brackets(om, covectors):
       ``apply_transpose``, O(k N) each.  It only multiplies by theta0, never
       divides, so it stays independent of ``sharp``.  Its values are returned
       when every bound is at most KRYLOV_CERTIFIED times the largest
-      |bracket|.
+      |bracket|.  It is skipped when it would take more than N steps: CG
+      ends in at most N - 1 steps in exact arithmetic, and the step count
+      grows like 18.8 kappa, so near a singular pairing (kappa ~ 1e9 at
+      a = 1 - 1e-9) it would not finish.
     - LU: otherwise one ``np.linalg.solve`` of ``k_block``, O(N^3), after
       assembling it, and its values are returned.
 
@@ -432,9 +435,11 @@ def dense_brackets(om, covectors):
     _require_pointwise_dual(om.sigma_lower_bound)
     fweights = np.stack([ell.fweight for ell in covectors])
     tweights = np.stack([ell.tweight for ell in covectors])
-    brackets, bounds = _krylov_brackets(om, fweights, tweights, _krylov_steps(om))
-    if np.all(bounds <= KRYLOV_CERTIFIED * np.max(np.abs(brackets))):
-        return brackets, bounds
+    steps = _krylov_steps(om)
+    if steps <= om.n:
+        brackets, bounds = _krylov_brackets(om, fweights, tweights, steps)
+        if np.all(bounds <= KRYLOV_CERTIFIED * np.max(np.abs(brackets))):
+            return brackets, bounds
     return _lu_brackets(om, fweights, tweights)
 
 

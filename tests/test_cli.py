@@ -743,6 +743,24 @@ class TestConfigValues:
 
 
 class TestReports:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("amplitude", [1 - 1e-6, 1 - 1e-9])
+    def test_a_near_singular_pairing_finishes(self, tmp_path, n, amplitude):
+        # cosine(a, 1) theta0 has kappa = (1 + a)/(1 - a) up to 2e9: the
+        # predicted Krylov steps (up to 3.75e10) exceed N, so the LU solves
+        # it.  Each run takes 0.2-0.26 s; the bound is 20 times that
+        config = {
+            "pairs": [["x", "y"], ["x^2", "y"]],
+            "loops": [{"type": "circle", "radius": 0.5641895835477563}],
+            "densities": [{"id": "cosine", "type": "cosine", "amplitude": amplitude,
+                           "harmonic": 1}],
+            "n_samples": n,
+        }
+        done = run_module("bracket-check", json.dumps(config), tmp_path, timeout=5)
+        assert done.returncode == EXIT_OK, done.stderr
+        rows = read_rows(tmp_path / "bracket_check.csv")
+        assert len(rows) == 2 and all(row["status"] == "pass" for row in rows)
+
     def test_bracket_check_default_config_passes(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["n_samples"] = 128

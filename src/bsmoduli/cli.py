@@ -252,6 +252,26 @@ def _loop_center(spec):
     return tuple(center)
 
 
+def _harmonic(value):
+    """A harmonic k of cos(2 pi k s): an integer or an integral float, not a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"harmonic must be an integer, got {value!r}")
+    return value
+
+
+def _harmonics(spec):
+    """A perturbed circle's "harmonics": a list of [k, c_k, s_k], k a harmonic, c_k and s_k finite."""
+    value = spec.get("harmonics", [])
+    if not isinstance(value, list) or not all(isinstance(h, list) and len(h) == 3 for h in value):
+        raise ConfigError(f'"harmonics" must be a list of [k, c_k, s_k], got {value!r}')
+    return [
+        (_harmonic(k), _finite_number(c, "harmonics"), _finite_number(s, "harmonics"))
+        for k, c, s in value
+    ]
+
+
 def _orientation(spec):
     """A circle spec's "orientation": the JSON integer 1 or -1 (1 when absent), not a bool."""
     value = spec.get("orientation", 1)
@@ -350,14 +370,15 @@ def build_loop(spec, n, surface):
     project = _flag(spec.get("project", False), "project")
     try:
         if kind == "circle":
-            loop = Loop.circle(spec["radius"], center=center, n=n, orientation=_orientation(spec))
+            loop = Loop.circle(_finite_number(spec["radius"], "radius"), center=center, n=n,
+                               orientation=_orientation(spec))
         elif kind == "ellipse":
-            loop = Loop.ellipse(spec["a"], spec["b"], center=center, n=n,
-                                angle=spec.get("angle", 0.0))
+            a, b = (_finite_number(spec[key], key) for key in ("a", "b"))
+            loop = Loop.ellipse(a, b, center=center, n=n,
+                                angle=_finite_number(spec.get("angle", 0.0), "angle"))
         elif kind == "perturbed_circle":
-            harmonics = [tuple(h) for h in spec.get("harmonics", [])]
-            loop = Loop.perturbed_circle(spec["radius"], center=center, n=n,
-                                         harmonics=harmonics)
+            loop = Loop.perturbed_circle(_finite_number(spec["radius"], "radius"),
+                                         center=center, n=n, harmonics=_harmonics(spec))
         else:
             raise ConfigError(f"unknown loop type {kind!r}")
     except KeyError as exc:
@@ -378,7 +399,9 @@ def build_density(spec, n):
         return HalfDensity.uniform(n)
     if kind == "cosine":
         return HalfDensity.cosine_profile(
-            n, amplitude=spec.get("amplitude", 0.3), harmonic=spec.get("harmonic", 1)
+            n,
+            amplitude=_finite_number(spec.get("amplitude", 0.3), "amplitude"),
+            harmonic=_harmonic(spec.get("harmonic", 1)),
         )
     raise ConfigError(f"unknown density type {kind!r}")
 

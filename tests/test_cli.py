@@ -439,6 +439,59 @@ class TestExitCodes:
         assert err == f"bsq: config error: harmonic must be an integer, got {k}\n"
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("loop, density, message", [
+        ({"type": "circle", "radius": 1e400}, None, '"radius" must be a finite number, got inf'),
+        ({"type": "circle", "radius": "0.56"}, None,
+         "\"radius\" must be a finite number, got '0.56'"),
+        ({"type": "ellipse", "a": 1.3, "b": 1e400}, None, '"b" must be a finite number, got inf'),
+        ({"type": "ellipse", "a": None, "b": 0.8}, None, '"a" must be a finite number, got None'),
+        ({"type": "ellipse", "a": 1.3, "b": 0.8, "angle": True}, None,
+         '"angle" must be a finite number, got True'),
+        ({"type": "perturbed_circle", "radius": 1e400}, None,
+         '"radius" must be a finite number, got inf'),
+        ({"type": "perturbed_circle", "radius": 0.56, "harmonics": [[2, "0.1", 0.0]]}, None,
+         "\"harmonics\" must be a finite number, got '0.1'"),
+        ({"type": "perturbed_circle", "radius": 0.56, "harmonics": [[2, 0.1, 1e400]]}, None,
+         '"harmonics" must be a finite number, got inf'),
+        ({"type": "perturbed_circle", "radius": 0.56, "harmonics": [[True, 0.1, 0.0]]}, None,
+         "harmonic must be an integer, got True"),
+        ({"type": "perturbed_circle", "radius": 0.56, "harmonics": [2, 0.1, 0.0]}, None,
+         '"harmonics" must be a list of [k, c_k, s_k], got [2, 0.1, 0.0]'),
+        ({"type": "perturbed_circle", "radius": 0.56, "harmonics": 5}, None,
+         '"harmonics" must be a list of [k, c_k, s_k], got 5'),
+        (LOOP, {"type": "cosine", "amplitude": "0.3"}, "\"amplitude\" must be a finite number, got '0.3'"),
+        (LOOP, {"type": "cosine", "amplitude": 1e400}, '"amplitude" must be a finite number, got inf'),
+        (LOOP, {"type": "cosine", "harmonic": "1"}, "harmonic must be an integer, got '1'"),
+        (LOOP, {"type": "cosine", "harmonic": 1e400}, "harmonic must be an integer, got inf"),
+        (LOOP, {"type": "cosine", "harmonic": True}, "harmonic must be an integer, got True"),
+    ])
+    @pytest.mark.parametrize("command", ["bracket-check", "flow"])
+    def test_a_loop_or_density_number_is_checked(self, tmp_path, capsys, pairings_built,
+                                                 command, loop, density, message):
+        # a config error naming the key, before any pairing is built and with
+        # no raw warning (Tier-1 turns a RuntimeWarning into an error)
+        config = dict(SMALL[command], n_samples=32)
+        if command == "flow":
+            config.update(loop=loop, **({"density": density} if density else {}))
+        else:
+            config.update(loops=[loop], **({"densities": [density]} if density else {}))
+        assert_config_error(tmp_path, capsys, command, config, message)
+        assert pairings_built == []
+
+    def test_a_radius_that_overflows_is_a_config_error_with_no_warning(self, tmp_path):
+        # the whole of stderr, in a fresh process with numpy's default warnings
+        config = '{"pairs": [["x", "y"]], "loops": [{"type": "circle", "radius": 1e400}]}'
+        out = run_module("bracket-check", config, tmp_path)
+        assert out.stderr == 'bsq: config error: "radius" must be a finite number, got inf\n'
+        assert out.returncode == EXIT_CONFIG
+
+    @pytest.mark.parametrize("amplitude", [0.999, 1.0, 1.5])
+    def test_an_amplitude_near_or_above_one_is_a_density(self, amplitude):
+        # theta0 = 1 + a cos(2 pi s) changes sign for a > 1; the pairing decides
+        theta = build_density({"type": "cosine", "amplitude": amplitude, "harmonic": 1}, 64)
+        ref = loops.HalfDensity.cosine_profile(64, amplitude, 1)
+        assert theta.values.tobytes() == ref.values.tobytes()
+
     def test_bracket_check_rejects_scale(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "bracket_check.json").read_text())
         cfg["scale"] = 2.0

@@ -15,9 +15,9 @@ is emitted from one template and compiled into one function on the
 coordinates, Python floats for one point and (M,) arrays for a batch, which
 the flow calls once: it appends every point and pass count to the caller's
 lists.  Moduli trajectories use classical RK4 on the pair (loop points,
-weight values), with the stage velocity given
-by the Hamiltonian field of the induced observable realized as a normal
-displacement field.  That velocity comes from one array kernel,
+weight values), with the stage velocity given by the Hamiltonian field of
+the induced observable realized as a normal displacement field.  That
+velocity comes from one array kernel,
 ``_stage_velocity``, which builds no loop, weight or moduli-point objects and
 makes two spectral-derivative calls per stage: the tangent, then one (N, 2)
 stack of (u theta0^2)' and f1'.  Each requested step is split into equal RK4

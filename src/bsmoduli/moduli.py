@@ -419,16 +419,16 @@ def dense_brackets(om, covectors):
       when every bound is at most KRYLOV_CERTIFIED times the largest
       |bracket|.  It is skipped when it would take more than N steps: CG
       ends in at most N - 1 steps in exact arithmetic, and the step count
-      grows like 18.8 kappa, so near a singular pairing (kappa ~ 1e9 at
-      a = 1 - 1e-9) it would not finish.
+      grows like 18.8 kappa, which near a singular pairing has no bound
+      (kappa = 2e9 for cosine(1 - 1e-9, 1)).
     - LU: otherwise one ``np.linalg.solve`` of ``k_block``, O(N^3), after
       assembling it, and its values are returned.
 
     Uniform theta0 takes 1 step; cosine(a, h) weights, kappa = (1 + a)/(1 - a),
     take ceil(ln(2e16) / ln(1/a)) steps: 17 at a = 0.1, 32 at a = 0.3, 55 at
-    a = 0.5 and 169 at a = 0.8.  An empty list gives two 0 x 0 arrays even on
-    a singular pairing; otherwise raises SingularPairing when min|theta0| is
-    below SINGULAR_FLOOR.
+    a = 0.5 and 169 at a = 0.8, so a = 0.8 takes the LU up to N = 128.  An
+    empty list gives two 0 x 0 arrays even on a singular pairing; otherwise
+    raises SingularPairing when min|theta0| is below SINGULAR_FLOOR.
     """
     if not covectors:
         return np.zeros((0, 0)), np.zeros((0, 0))
